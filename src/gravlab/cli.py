@@ -100,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=None,
                         help="base seed for all trajectory noise streams")
     shared.add_argument("--workers", type=int, default=None,
-                        help="worker threads (default: available cores)")
+                        help="worker threads for grid ensembles (default: available "
+                             "cores); Gaussian ensembles run on one thread, where "
+                             "threads made them slower")
     shared.add_argument("--out-dir", type=Path, default=None,
                         help="directory for CSV/JSON output (default: .)")
     shared.add_argument("--dt", type=float, default=None, help="integrator step")

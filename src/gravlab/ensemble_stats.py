@@ -9,7 +9,6 @@ overconfident because residuals are correlated along each trajectory.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -129,12 +128,11 @@ class EnsembleConfig:
         return max(1, self.n_steps // 200)
 
 
-def _noise_matrix(config: EnsembleConfig, indices: Sequence[int]) -> np.ndarray:
-    out = np.empty((config.n_steps, len(indices)))
+def _noise_matrix(base_seed: int, indices: Sequence[int], n_steps: int, dt: float) -> np.ndarray:
+    """Single-axis increments, one column per trajectory in ``indices``."""
+    out = np.empty((n_steps, len(indices)))
     for col, j in enumerate(indices):
-        out[:, col] = wiener_increments(
-            config.base_seed, j, config.n_steps, config.dt
-        ).increments[:, 0]
+        out[:, col] = wiener_increments(base_seed, j, n_steps, dt).increments[:, 0]
     return out
 
 
@@ -157,24 +155,30 @@ def _assemble_records(times, columns) -> list[TrajectoryRecord]:
 
 
 def _run_chunk_gaussian(config: EnsembleConfig, indices) -> list[TrajectoryRecord]:
+    """Vectorized Gaussian chunk with one width shared by every trajectory.
+
+    The width map does not depend on the noise and all trajectories start
+    from the same a0, so a single shape-(1,) width is exact; it broadcasts
+    against the per-trajectory means inside ``step``.
+    """
     consts, omega = config.constants, config.omega
     a0 = config.initial.resolve_a(config.variant, consts, omega)
     n = len(indices)
     state = GaussianState(
         np.full(n, float(config.initial.xbar)),
         np.full(n, float(config.initial.pbar)),
-        np.full(n, a0, dtype=complex),
+        np.full(1, a0, dtype=complex),
     )
-    incr = _noise_matrix(config, indices)
+    incr = _noise_matrix(config.base_seed, indices, config.n_steps, config.dt)
     times, columns = [], {k: [] for k in ("xbar", "pbar", "delta_x", "kinetic", "a")}
 
     def sample(t, st):
         times.append(t)
         columns["xbar"].append(np.asarray(st.xbar, dtype=float))
         columns["pbar"].append(np.asarray(st.pbar, dtype=float))
-        columns["delta_x"].append(np.sqrt(st.delta_x2))
+        columns["delta_x"].append(np.broadcast_to(np.sqrt(st.delta_x2), n))
         columns["kinetic"].append(np.asarray(kinetic_energy(st, consts), dtype=float))
-        columns["a"].append(np.asarray(st.a, dtype=complex))
+        columns["a"].append(np.broadcast_to(st.a, n))
 
     sample(0.0, state)
     for k in range(config.n_steps):
@@ -193,7 +197,7 @@ def _run_chunk_grid(config: EnsembleConfig, indices) -> list[TrajectoryRecord]:
     )
     amps = np.broadcast_to(base.amplitudes, (len(indices), base.n)).copy()
     state = GridState(amps, base.dx_grid, base.x0)
-    incr = _noise_matrix(config, indices)
+    incr = _noise_matrix(config.base_seed, indices, config.n_steps, config.dt)
     times, columns = [], {k: [] for k in ("xbar", "pbar", "delta_x", "kinetic", "a")}
 
     def sample(t, st):
@@ -239,12 +243,17 @@ def _run_chunk_attributed(config: EnsembleConfig, indices) -> list[TrajectoryRec
 def run_ensemble(config: EnsembleConfig, workers: int = 1) -> list[TrajectoryRecord]:
     """All trajectories of the configured ensemble, in trajectory order.
 
-    workers > 1 splits the ensemble into contiguous chunks on a thread
-    pool; records are identical to the workers=1 output.
+    Gaussian ensembles run as one vectorized chunk on the calling thread
+    whatever ``workers`` says: each step is a handful of small numpy calls
+    that hold the interpreter lock, and threads made them slower.  For the
+    grid solver, workers > 1 splits the ensemble into contiguous chunks on a
+    thread pool.  Records are identical to the workers=1 output either way.
     """
     if workers < 1:
         raise DomainError("workers must be >= 1")
     indices = list(range(config.n_trajectories))
+    if config.solver == "gaussian":
+        return _run_chunk_attributed(config, indices)
     chunks = [c.tolist() for c in np.array_split(indices, workers) if c.size]
     if len(chunks) == 1:
         return _run_chunk_attributed(config, chunks[0])
@@ -312,13 +321,21 @@ def _linear_fit(t, y, through_origin=False):
     return float(slope), r2
 
 
+def _bootstrap_draws(n: int) -> np.ndarray:
+    """The fixed trajectory resamples, one row of n indices per draw."""
+    rng = np.random.default_rng(_BOOTSTRAP_SEED)
+    return rng.integers(0, n, size=(N_BOOTSTRAP, n))
+
+
+def _spread(stats) -> float:
+    """Bootstrap standard error, floored so that it stays positive."""
+    return max(float(np.std(stats, ddof=1)), STDERR_FLOOR)
+
+
 def _bootstrap_stderr(matrix, reduce_fn, fit_fn):
     """Std of fit_fn(reduce_fn(resampled rows)) over trajectory resamples."""
-    rng = np.random.default_rng(_BOOTSTRAP_SEED)
-    n = matrix.shape[0]
-    draws = rng.integers(0, n, size=(N_BOOTSTRAP, n))
-    stats = np.array([fit_fn(reduce_fn(matrix[d])) for d in draws])
-    return max(float(np.std(stats, ddof=1)), STDERR_FLOOR)
+    draws = _bootstrap_draws(matrix.shape[0])
+    return _spread(np.array([fit_fn(reduce_fn(matrix[d])) for d in draws]))
 
 
 def estimate_ke_rate(
@@ -383,22 +400,17 @@ def estimate_diffusion(
         diag = FitDiagnostics(1.0, False, {"quadratic": 0.0, "cubic": 0.0})
         return EstimatorResult(name, 0.0, STDERR_FLOOR, window, diag)
     slope, r2 = _linear_fit(t, series, through_origin)
-
-    def var_of(m):
-        return m.var(axis=0, ddof=1)
-
-    stderr = _bootstrap_stderr(
-        sub, var_of, lambda y: _linear_fit(t, y, through_origin)[0]
-    )
     cubic = np.polyfit(t, series, 3)
-    quad_err = _bootstrap_stderr(sub, var_of, lambda y: np.polyfit(t, y, 3)[1])
-    cube_err = _bootstrap_stderr(sub, var_of, lambda y: np.polyfit(t, y, 3)[0])
+    # one set of resampled variance series serves all three error bars
+    boots = [sub[d].var(axis=0, ddof=1) for d in _bootstrap_draws(sub.shape[0])]
+    boot_cubics = np.array([np.polyfit(t, y, 3) for y in boots])
     details = {
         "quadratic": float(cubic[1]),
-        "quadratic_stderr": quad_err,
+        "quadratic_stderr": _spread(boot_cubics[:, 1]),
         "cubic": float(cubic[0]),
-        "cubic_stderr": cube_err,
+        "cubic_stderr": _spread(boot_cubics[:, 0]),
     }
+    stderr = _spread([_linear_fit(t, y, through_origin)[0] for y in boots])
     diag = FitDiagnostics(r2, r2 < R2_TREND_THRESHOLD, details)
     return EstimatorResult(name, slope, stderr, window, diag)
 
@@ -436,13 +448,11 @@ def estimate_xp_covariance(records, t_max: float = 0.5) -> EstimatorResult:
     ss_tot = float(np.sum((series - series.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
-    rng = np.random.default_rng(_BOOTSTRAP_SEED)
-    n = xs.shape[0]
-    draws = rng.integers(0, n, size=(N_BOOTSTRAP, n))
-    boots = np.array(
-        [fit_linear_term(cov_series(xs[d][:, mask], ps[d][:, mask])) for d in draws]
-    )
-    stderr = max(float(np.std(boots, ddof=1)), STDERR_FLOOR)
+    boots = np.array([
+        fit_linear_term(cov_series(xs[d][:, mask], ps[d][:, mask]))
+        for d in _bootstrap_draws(xs.shape[0])
+    ])
+    stderr = _spread(boots)
     positive = bool(np.all(series[t > 0] > 0.0))
     diag = FitDiagnostics(r2, r2 < R2_TREND_THRESHOLD, {"all_positive": positive})
     return EstimatorResult(
@@ -486,9 +496,7 @@ def run_collapse_ensemble(
         base = init_cat(cat, n, x_min, x_max, constants)
         amps = np.broadcast_to(base.amplitudes, (len(indices), n)).copy()
         state = GridState(amps, base.dx_grid, base.x0)
-        incr = np.empty((n_steps, len(indices)))
-        for col, j in enumerate(indices):
-            incr[:, col] = wiener_increments(base_seed, j, n_steps, dt).increments[:, 0]
+        incr = _noise_matrix(base_seed, indices, n_steps, dt)
         weights = np.empty((n_steps, len(indices)))
         for k in range(n_steps):
             state = step_quadratic(state, variant, dt, incr[k], constants, omega)
@@ -538,11 +546,9 @@ def collapse_time_stats(records, threshold: float = 0.99) -> EstimatorResult:
         )
     decided = times_out[~np.isnan(times_out)]
     median = float(np.median(decided))
-    rng = np.random.default_rng(_BOOTSTRAP_SEED)
-    draws = rng.integers(0, decided.size, size=(N_BOOTSTRAP, decided.size))
-    medians = np.median(decided[draws], axis=1)
+    medians = np.median(decided[_bootstrap_draws(decided.size)], axis=1)
     ci = (float(np.percentile(medians, 2.5)), float(np.percentile(medians, 97.5)))
-    stderr = max(float(np.std(medians, ddof=1)), STDERR_FLOOR)
+    stderr = _spread(medians)
     n_decided = decided.size
     frac_right = float(np.mean(winners[winners != 0] == 1))
     split_err = math.sqrt(max(frac_right * (1.0 - frac_right), 0.25 / n_decided) / n_decided)
@@ -560,16 +566,31 @@ def collapse_time_stats(records, threshold: float = 0.99) -> EstimatorResult:
     )
 
 
+def _float_reprs(values) -> list[str]:
+    """repr(float(v)) of every entry, through one tolist() conversion."""
+    return list(map(repr, map(float, np.asarray(values).tolist())))
+
+
 def write_records_csv(records, path, observables=OBSERVABLES) -> None:
-    """Long-format dump: one row per (trajectory, time, observable)."""
+    """Long-format dump: one row per (trajectory, time, observable).
+
+    Writes the bytes a ``csv.writer`` row loop would (CRLF line ends,
+    ``repr(float(v))`` digits; observable names are attribute names, so no
+    field ever needs quoting), but builds each (trajectory, observable)
+    block as one string.  Times are formatted once per distinct array.
+    """
+    time_fields = {}  # id(times) -> (times, {name: ["t,name," per sample]})
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trajectory", "time", "observable", "value"])
+        fh.write("trajectory,time,observable,value\r\n")
         for j, rec in enumerate(records):
+            per_name = time_fields.setdefault(id(rec.times), (rec.times, {}))[1]
             for name in observables:
-                values = getattr(rec, name)
-                for t, v in zip(rec.times, values):
-                    writer.writerow([j, repr(float(t)), name, repr(float(v))])
+                if name not in per_name:
+                    per_name[name] = [f"{t},{name}," for t in _float_reprs(rec.times)]
+                rows = list(map(str.__add__, per_name[name], _float_reprs(getattr(rec, name))))
+                if rows:
+                    lead = f"{j},"
+                    fh.write(lead + ("\r\n" + lead).join(rows) + "\r\n")
 
 
 def result_to_dict(result: EstimatorResult) -> dict:

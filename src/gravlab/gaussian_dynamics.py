@@ -103,8 +103,9 @@ def _step_coefficients(variant: Variant, dt: float, constants: Constants, omega:
 class GaussianState:
     """Per-axis Gaussian packet: wave function ~ exp(-a x_c^2 + i pbar x / hbar).
 
-    Fields may be scalars or same-shape numpy arrays (one entry per
-    trajectory or axis).  Re(a) > 0 is required for normalizability.
+    Fields may be scalars or numpy arrays that broadcast together (one entry
+    per trajectory or axis; an ensemble may share a single width).  Re(a) > 0
+    is required for normalizability.
     """
 
     xbar: float | np.ndarray

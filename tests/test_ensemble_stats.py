@@ -1,5 +1,6 @@
 """Ensemble harness checks: reproducible seeding, worker invariance, the
 drift/diffusion/first-passage estimators, and the CSV/JSON emitters."""
+import csv
 import json
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from gravlab import ensemble_stats as es
 from gravlab.errors import ContainmentError, DomainError, StatisticsError
-from gravlab.gaussian_dynamics import Variant
+from gravlab.gaussian_dynamics import GaussianState, TrajectoryRecord, Variant, run_trajectory
 from gravlab.grid_dynamics import CatState
+from gravlab.noise_field import wiener_increments
 
 GAUSS_SOLITON = dict(solver="gaussian", initial=es.InitialSpec.soliton())
 
@@ -122,6 +124,27 @@ class TestRunEnsemble:
         with pytest.raises(DomainError):
             es.run_ensemble(small_config(Variant.GSSE), workers=0)
 
+    @pytest.mark.parametrize("variant", [Variant.GSSE, Variant.SSNE])
+    @pytest.mark.parametrize("initial", [
+        es.InitialSpec.soliton(0.3, -0.2),
+        es.InitialSpec.gaussian(0.5, 0.1, 2.0 - 0.7j),  # width relaxes
+    ])
+    def test_shared_width_matches_single_trajectory_runs(self, variant, initial):
+        cfg = small_config(variant, n_trajectories=7, t_final=1.0, base_seed=11,
+                           initial=initial, record_stride=10)
+        records = es.run_ensemble(cfg)
+        a0 = initial.resolve_a(variant, cfg.constants, cfg.omega)
+        # one-element arrays keep the reference on numpy's array arithmetic;
+        # Python complex division rounds differently off the fixed point
+        start = GaussianState(np.full(1, initial.xbar), np.full(1, initial.pbar),
+                              np.full(1, a0))
+        for j, rec in enumerate(records):
+            path = wiener_increments(cfg.base_seed, j, cfg.n_steps, cfg.dt)
+            ref = run_trajectory(start, variant, path, cfg.constants, cfg.omega, cfg.stride)
+            for name in ("times", "xbar", "pbar", "delta_x", "kinetic", "a"):
+                np.testing.assert_array_equal(getattr(rec, name),
+                                              np.ravel(getattr(ref, name)), err_msg=name)
+
 
 class TestKineticEnergyRate:
     def test_gsse_rate_near_half(self):
@@ -190,6 +213,33 @@ class TestDiffusion:
         with pytest.raises(DomainError):
             es.estimate_diffusion(es.run_ensemble(cfg), "delta_x")
 
+    @pytest.mark.parametrize("variant, observable", [
+        (Variant.SSNE, "xbar"),  # fit through the origin
+        (Variant.GSSE, "pbar"),
+    ])
+    def test_stderrs_match_three_pass_bootstrap(self, variant, observable):
+        cfg = es.EnsembleConfig(variant, n_trajectories=120, t_final=1.0,
+                                dt=1e-3, base_seed=13, **GAUSS_SOLITON)
+        records = es.run_ensemble(cfg)
+        result = es.estimate_diffusion(records, observable, variant)
+        assert result.window[0] == 0.0
+        t = records[0].times
+        sub = np.stack([getattr(rec, observable) for rec in records])
+        through_origin = variant is Variant.SSNE and observable == "xbar"
+
+        def var_of(m):
+            return m.var(axis=0, ddof=1)
+
+        slope_err = es._bootstrap_stderr(
+            sub, var_of, lambda y: es._linear_fit(t, y, through_origin)[0]
+        )
+        quad_err = es._bootstrap_stderr(sub, var_of, lambda y: np.polyfit(t, y, 3)[1])
+        cube_err = es._bootstrap_stderr(sub, var_of, lambda y: np.polyfit(t, y, 3)[0])
+        details = result.diagnostics.details
+        assert result.stderr == slope_err
+        assert details["quadratic_stderr"] == quad_err
+        assert details["cubic_stderr"] == cube_err
+
 
 class TestCrossCovariance:
     def test_gsse_cov_rate_near_one_and_positive(self):
@@ -251,7 +301,58 @@ class TestCollapseStats:
         assert 0.25 < details["winner_fraction_right"] < 0.75
 
 
+def csv_writer_reference(records, path, observables=es.OBSERVABLES):
+    """The row-by-row csv.writer dump that write_records_csv must reproduce."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trajectory", "time", "observable", "value"])
+        for j, rec in enumerate(records):
+            for name in observables:
+                values = getattr(rec, name)
+                for t, v in zip(rec.times, values):
+                    writer.writerow([j, repr(float(t)), name, repr(float(v))])
+
+
+def handmade_record(times, values, kinetic=None):
+    values = np.asarray(values)
+    return TrajectoryRecord(
+        times=times, xbar=values, pbar=-values, delta_x=values[::-1],
+        kinetic=values if kinetic is None else kinetic, a=values.astype(complex),
+    )
+
+
 class TestEmission:
+    def test_csv_matches_csv_writer_reference(self, tmp_path):
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]
+        times = 0.25 * np.arange(len(specials))
+        records = [
+            handmade_record(times, specials),
+            # float32 column
+            handmade_record(times, np.linspace(-1.0, 3.0, len(specials)),
+                            kinetic=np.linspace(0.1, 0.7, len(specials), dtype=np.float32)),
+            # equal times held in a separate array, and different times
+            handmade_record(times.copy(), np.arange(len(specials), dtype=float) / 3.0),
+            handmade_record(np.logspace(-5, 16, len(specials)), specials[::-1]),
+        ]
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        for observables in (es.OBSERVABLES, ("kinetic", "xbar")):
+            es.write_records_csv(records, fast, observables)
+            csv_writer_reference(records, slow, observables)
+            assert fast.read_bytes() == slow.read_bytes()
+
+    def test_csv_matches_csv_writer_reference_on_ensembles(self, tmp_path):
+        gauss = es.run_ensemble(small_config(Variant.SSNE, n_trajectories=4,
+                                             record_stride=50))
+        grid = es.run_ensemble(small_config(
+            Variant.GSSE, solver="grid", n_trajectories=4, t_final=0.02,
+            grid_n=256, grid_x_min=-16.0, grid_x_max=16.0,
+        ), workers=2)  # two chunks, so two distinct time arrays
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        for records in (gauss, grid):
+            es.write_records_csv(records, fast)
+            csv_writer_reference(records, slow)
+            assert fast.read_bytes() == slow.read_bytes()
+
     def test_csv_long_format_and_determinism(self, tmp_path):
         cfg = small_config(Variant.GSSE, n_trajectories=3, record_stride=100)
         records = es.run_ensemble(cfg)
