@@ -41,8 +41,8 @@ from .grid_dynamics import (
     coherence_series,
     init_cat,
     init_gaussian,
+    separation_series,
     step_quadratic,
-    step_sne_nonlocal,
 )
 from .model_core import (
     MassProfile,
@@ -401,17 +401,10 @@ def _run_cat(settings: dict) -> int:
 def _run_attract(settings: dict) -> int:
     box = dict(n=2048, x_min=-40.0, x_max=40.0)
     dt, sep = settings["dt"], settings["separation"]
-    state = init_cat(CatState(3.0 + 0.0j, sep), **box)
-    x = state.x
-    times, values = [], []
-    for k in range(300):
-        state = step_sne_nonlocal(state, ATTRACT_KERNEL, dt)
-        if (k + 1) % 25 == 0:
-            rho = state.density()
-            right, left = rho * (x > 0), rho * (x < 0)
-            times.append((k + 1) * dt)
-            values.append(float(np.sum(x * right) / np.sum(right)
-                                - np.sum(x * left) / np.sum(left)))
+    # criterion 13's acceleration leg at the chosen separation and step
+    times, values, _ = separation_series(
+        init_cat(CatState(3.0 + 0.0j, sep), **box), ATTRACT_KERNEL, dt, 300, 25
+    )
     accel = float(2.0 * np.polyfit(times, values, 2)[0])
     classical = -ATTRACT_KERNEL.strength * sep / (
         sep**2 + ATTRACT_KERNEL.a_soft**2

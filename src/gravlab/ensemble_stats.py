@@ -13,7 +13,6 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .grid_dynamics import (
     step_quadratic,
 )
 from .model_core import Constants
-from .noise_field import wiener_increments
+from .noise_field import drive
 
 OBSERVABLES = ("xbar", "pbar", "delta_x", "kinetic")
 SOLVERS = ("gaussian", "grid")
@@ -128,116 +127,89 @@ class EnsembleConfig:
         return max(1, self.n_steps // 200)
 
 
-def _noise_matrix(base_seed: int, indices: Sequence[int], n_steps: int, dt: float) -> np.ndarray:
-    """Single-axis increments, one column per trajectory in ``indices``."""
-    out = np.empty((n_steps, len(indices)))
-    for col, j in enumerate(indices):
-        out[:, col] = wiener_increments(base_seed, j, n_steps, dt).increments[:, 0]
-    return out
-
-
-def _assemble_records(times, columns) -> list[TrajectoryRecord]:
-    """Transpose per-sample column dicts into one record per trajectory."""
+def _assemble_records(times, samples) -> list[TrajectoryRecord]:
+    """Transpose per-sample moment tuples into one record per trajectory."""
     times = np.asarray(times)
-    stacked = {k: np.stack(v) for k, v in columns.items()}  # (n_samples, n_traj)
-    n_traj = stacked["xbar"].shape[1]
+    # one (n_samples, n_traj) array per field: xbar, pbar, delta_x, kinetic, a
+    columns = [np.stack(column) for column in zip(*samples)]
+    dtypes = (float, float, float, float, complex)
     return [
-        TrajectoryRecord(
-            times=times,
-            xbar=stacked["xbar"][:, j].astype(float),
-            pbar=stacked["pbar"][:, j].astype(float),
-            delta_x=stacked["delta_x"][:, j].astype(float),
-            kinetic=stacked["kinetic"][:, j].astype(float),
-            a=stacked["a"][:, j].astype(complex),
-        )
-        for j in range(n_traj)
+        TrajectoryRecord(times, *(c[:, j].astype(t) for c, t in zip(columns, dtypes)))
+        for j in range(columns[0].shape[1])
     ]
 
 
-def _run_chunk_gaussian(config: EnsembleConfig, indices) -> list[TrajectoryRecord]:
-    """Vectorized Gaussian chunk with one width shared by every trajectory.
+def _gaussian_batch(config: EnsembleConfig, rows: int) -> GaussianState:
+    """Per-trajectory means with one shape-(1,) width shared by every row.
 
     The width map does not depend on the noise and all trajectories start
-    from the same a0, so a single shape-(1,) width is exact; it broadcasts
-    against the per-trajectory means inside ``step``.
+    from the same a0, so the shared width is exact; it broadcasts against
+    the means inside ``step``.
     """
-    consts, omega = config.constants, config.omega
-    a0 = config.initial.resolve_a(config.variant, consts, omega)
-    n = len(indices)
-    state = GaussianState(
-        np.full(n, float(config.initial.xbar)),
-        np.full(n, float(config.initial.pbar)),
+    a0 = config.initial.resolve_a(config.variant, config.constants, config.omega)
+    return GaussianState(
+        np.full(rows, float(config.initial.xbar)),
+        np.full(rows, float(config.initial.pbar)),
         np.full(1, a0, dtype=complex),
     )
-    incr = _noise_matrix(config.base_seed, indices, config.n_steps, config.dt)
-    times, columns = [], {k: [] for k in ("xbar", "pbar", "delta_x", "kinetic", "a")}
-
-    def sample(t, st):
-        times.append(t)
-        columns["xbar"].append(np.asarray(st.xbar, dtype=float))
-        columns["pbar"].append(np.asarray(st.pbar, dtype=float))
-        columns["delta_x"].append(np.broadcast_to(np.sqrt(st.delta_x2), n))
-        columns["kinetic"].append(np.asarray(kinetic_energy(st, consts), dtype=float))
-        columns["a"].append(np.broadcast_to(st.a, n))
-
-    sample(0.0, state)
-    for k in range(config.n_steps):
-        state = step(state, config.variant, config.dt, incr[k], consts, omega)
-        if (k + 1) % config.stride == 0:
-            sample((k + 1) * config.dt, state)
-    return _assemble_records(times, columns)
 
 
-def _run_chunk_grid(config: EnsembleConfig, indices) -> list[TrajectoryRecord]:
-    consts, omega = config.constants, config.omega
-    a0 = config.initial.resolve_a(config.variant, consts, omega)
+def _gaussian_moments(st: GaussianState, constants: Constants):
+    rows = np.size(st.xbar)
+    return (
+        np.asarray(st.xbar, dtype=float),
+        np.asarray(st.pbar, dtype=float),
+        np.broadcast_to(np.sqrt(st.delta_x2), rows),
+        np.asarray(kinetic_energy(st, constants), dtype=float),
+        np.broadcast_to(st.a, rows),
+    )
+
+
+def _grid_batch(config: EnsembleConfig, rows: int) -> GridState:
+    a0 = config.initial.resolve_a(config.variant, config.constants, config.omega)
     base = init_gaussian(
         config.initial.xbar, config.initial.pbar, a0,
-        config.grid_n, config.grid_x_min, config.grid_x_max, consts,
+        config.grid_n, config.grid_x_min, config.grid_x_max, config.constants,
     )
-    amps = np.broadcast_to(base.amplitudes, (len(indices), base.n)).copy()
-    state = GridState(amps, base.dx_grid, base.x0)
-    incr = _noise_matrix(config.base_seed, indices, config.n_steps, config.dt)
-    times, columns = [], {k: [] for k in ("xbar", "pbar", "delta_x", "kinetic", "a")}
-
-    def sample(t, st):
-        dx2 = st.delta_x2()
-        corr = st.correlation_xp(consts)
-        # effective complex width read off the moments; exact for Gaussians
-        a_eff = 1.0 / (4.0 * dx2) - 0.5j * corr / (consts.hbar * dx2)
-        times.append(t)
-        columns["xbar"].append(st.mean_x())
-        columns["pbar"].append(st.mean_p(consts))
-        columns["delta_x"].append(np.sqrt(dx2))
-        columns["kinetic"].append(st.kinetic_energy(consts))
-        columns["a"].append(a_eff)
-
-    sample(0.0, state)
-    for k in range(config.n_steps):
-        state = step_quadratic(state, config.variant, config.dt, incr[k], consts, omega)
-        if (k + 1) % config.stride == 0:
-            sample((k + 1) * config.dt, state)
-    return _assemble_records(times, columns)
+    return base.repeated(rows)
 
 
-def _chunk_runner(config: EnsembleConfig):
-    return _run_chunk_gaussian if config.solver == "gaussian" else _run_chunk_grid
+def _grid_moments(st: GridState, constants: Constants):
+    dx2 = st.delta_x2()
+    corr = st.correlation_xp(constants)
+    # effective complex width read off the moments; exact for Gaussians
+    a_eff = 1.0 / (4.0 * dx2) - 0.5j * corr / (constants.hbar * dx2)
+    return (st.mean_x(), st.mean_p(constants), np.sqrt(dx2),
+            st.kinetic_energy(constants), a_eff)
 
 
-def _run_chunk_attributed(config: EnsembleConfig, indices) -> list[TrajectoryRecord]:
-    """Run a chunk; on solver failure, rerun singles to name the trajectory."""
-    runner = _chunk_runner(config)
-    try:
-        return runner(config, indices)
-    except GravlabError as exc:
-        if len(indices) == 1:
-            raise type(exc)(f"trajectory {indices[0]}: {exc}") from exc
-        for j in indices:
-            try:
-                runner(config, [j])
-            except GravlabError as single:
-                raise type(single)(f"trajectory {j}: {single}") from single
-        raise
+def _map_chunks(run_chunk, n_trajectories: int, workers: int) -> list:
+    """run_chunk over contiguous index chunks, concatenated in index order.
+
+    One chunk runs on the calling thread; more go to a thread pool.  When a
+    chunk fails with a solver error, its trajectories are rerun one by one
+    and the error is raised again naming the first one that fails.
+    """
+
+    def attributed(indices):
+        try:
+            return run_chunk(indices)
+        except GravlabError as exc:
+            if len(indices) == 1:
+                raise type(exc)(f"trajectory {indices[0]}: {exc}") from exc
+            for j in indices:
+                try:
+                    run_chunk([j])
+                except GravlabError as single:
+                    raise type(single)(f"trajectory {j}: {single}") from single
+            raise
+
+    chunks = [c.tolist() for c in np.array_split(np.arange(n_trajectories), workers) if c.size]
+    if len(chunks) == 1:
+        return attributed(chunks[0])
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = list(pool.map(attributed, chunks))
+    return [rec for part in parts for rec in part]
 
 
 def run_ensemble(config: EnsembleConfig, workers: int = 1) -> list[TrajectoryRecord]:
@@ -246,20 +218,36 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> list[TrajectoryRec
     Gaussian ensembles run as one vectorized chunk on the calling thread
     whatever ``workers`` says: each step is a handful of small numpy calls
     that hold the interpreter lock, and threads made them slower.  For the
-    grid solver, workers > 1 splits the ensemble into contiguous chunks on a
-    thread pool.  Records are identical to the workers=1 output either way.
+    grid solver, workers > 1 splits the ensemble into contiguous chunks on
+    the thread pool that ``run_collapse_ensemble`` also uses.  Records are
+    identical to the workers=1 output either way, and a solver failure is
+    raised naming the trajectory at fault.
     """
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    indices = list(range(config.n_trajectories))
     if config.solver == "gaussian":
-        return _run_chunk_attributed(config, indices)
-    chunks = [c.tolist() for c in np.array_split(indices, workers) if c.size]
-    if len(chunks) == 1:
-        return _run_chunk_attributed(config, chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda c: _run_chunk_attributed(config, c), chunks))
-    return [rec for part in parts for rec in part]
+        batch, stepper, moments, workers = _gaussian_batch, step, _gaussian_moments, 1
+    else:
+        batch, stepper, moments = _grid_batch, step_quadratic, _grid_moments
+    variant, dt, consts, omega = config.variant, config.dt, config.constants, config.omega
+    stride = config.stride
+
+    def run_chunk(indices):
+        times, samples = [], []
+
+        def observe(k, st):
+            if k % stride == 0:
+                times.append(k * dt)
+                samples.append(moments(st, consts))
+
+        drive(
+            batch(config, len(indices)),
+            lambda st, dw: stepper(st, variant, dt, dw, consts, omega),
+            config.base_seed, indices, config.n_steps, dt, observe,
+        )
+        return _assemble_records(times, samples)
+
+    return _map_chunks(run_chunk, config.n_trajectories, workers)
 
 
 @dataclass(frozen=True)
@@ -483,7 +471,12 @@ def run_collapse_ensemble(
     omega: float = 1.0,
     workers: int = 1,
 ) -> list[BranchWeightRecord]:
-    """Grid cat ensemble recording the branch-weight series per trajectory."""
+    """Grid cat ensemble recording the branch-weight series per trajectory.
+
+    Records are identical whatever ``workers`` says: the trajectories are
+    split into contiguous chunks on the thread pool that ``run_ensemble``
+    also uses, and a solver failure is raised naming the trajectory at fault.
+    """
     if n_trajectories < 2:
         raise DomainError("need at least 2 trajectories")
     n_steps = round(t_final / dt)
@@ -493,26 +486,24 @@ def run_collapse_ensemble(
         raise DomainError("workers must be >= 1")
 
     def run_chunk(indices):
-        base = init_cat(cat, n, x_min, x_max, constants)
-        amps = np.broadcast_to(base.amplitudes, (len(indices), n)).copy()
-        state = GridState(amps, base.dx_grid, base.x0)
-        incr = _noise_matrix(base_seed, indices, n_steps, dt)
         weights = np.empty((n_steps, len(indices)))
-        for k in range(n_steps):
-            state = step_quadratic(state, variant, dt, incr[k], constants, omega)
-            weights[k] = branch_split_weights(state, cat)
+
+        def observe(k, st):
+            if k:
+                weights[k - 1] = branch_split_weights(st, cat)
+
+        drive(
+            init_cat(cat, n, x_min, x_max, constants).repeated(len(indices)),
+            lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
+            base_seed, indices, n_steps, dt, observe,
+        )
         times = dt * np.arange(1, n_steps + 1)
         return [
             BranchWeightRecord(j, times, weights[:, col].copy())
             for col, j in enumerate(indices)
         ]
 
-    chunks = [c.tolist() for c in np.array_split(np.arange(n_trajectories), workers) if c.size]
-    if len(chunks) == 1:
-        return run_chunk(chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(run_chunk, chunks))
-    return [rec for part in parts for rec in part]
+    return _map_chunks(run_chunk, n_trajectories, workers)
 
 
 def collapse_time_stats(records, threshold: float = 0.99) -> EstimatorResult:

@@ -33,10 +33,6 @@ class StepSizeError(GravlabError):
     """Per-step diagnostic exceeded the expected discretization bound."""
 
 
-class IllDefinedBranchesError(GravlabError):
-    """Branch decomposition requested for a state without separated branches."""
-
-
 class StatisticsError(GravlabError):
     """Ensemble estimator cannot produce a trustworthy result."""
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError, InstabilityError
 from .model_core import Constants
-from .noise_field import NoisePath
 
 
 class Variant(enum.Enum):
@@ -209,39 +208,3 @@ def width_flow_fixed_points(
 def kinetic_energy(state: GaussianState, constants: Constants = Constants()):
     """<p^2> / 2M per axis: [pbar^2 + hbar^2 |a|^2 / Re a] / 2M."""
     return (state.pbar**2 + state.delta_p2(constants)) / (2.0 * constants.mass)
-
-
-def run_trajectory(
-    initial: GaussianState,
-    variant: Variant,
-    path: NoisePath,
-    constants: Constants = Constants(),
-    omega: float = 1.0,
-    record_stride: int = 1,
-) -> TrajectoryRecord:
-    """Propagate one single-axis trajectory along a noise path.
-
-    Records t = 0 and every record_stride-th step thereafter (the final step
-    is always included when n_steps is a multiple of the stride).
-    """
-    if path.n_axes != 1:
-        raise DomainError("run_trajectory expects a single-axis noise path")
-    if record_stride < 1:
-        raise DomainError("record_stride must be >= 1")
-    dt = path.dt
-    state = initial
-    times = [0.0]
-    samples = [state]
-    for k in range(path.n_steps):
-        state = step(state, variant, dt, path.increments[k, 0], constants, omega)
-        if (k + 1) % record_stride == 0:
-            times.append((k + 1) * dt)
-            samples.append(state)
-    return TrajectoryRecord(
-        times=np.asarray(times),
-        xbar=np.asarray([s.xbar for s in samples], dtype=float),
-        pbar=np.asarray([s.pbar for s in samples], dtype=float),
-        delta_x=np.sqrt(np.asarray([s.delta_x2 for s in samples], dtype=float)),
-        kinetic=np.asarray([kinetic_energy(s, constants) for s in samples], dtype=float),
-        a=np.asarray([s.a for s in samples], dtype=complex),
-    )

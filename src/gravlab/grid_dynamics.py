@@ -30,16 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import (
-    ContainmentError,
-    DomainError,
-    IllDefinedBranchesError,
-    StatisticsError,
-    StepSizeError,
-)
+from .errors import ContainmentError, DomainError, StatisticsError, StepSizeError
 from .gaussian_dynamics import Variant, variant_coefficients
 from .model_core import Constants
-from .noise_field import wiener_increments
+from .noise_field import drive
 
 DEFAULT_N = 1024
 DEFAULT_X_MIN = -20.0
@@ -50,9 +44,6 @@ CONTAINMENT_TOL = 1e-8
 # amplitudes this far below the peak are roundoff, not physics; the noisy
 # local factor would otherwise grow that floor in a geometric random walk
 FLOOR_FRACTION = 1e-13
-# fraction of the peak density allowed at the cat midpoint before the
-# two-branch decomposition stops being meaningful
-BRANCH_OVERLAP_FRACTION = 0.5
 MIN_COHERENCE_SEEDS = 100
 
 
@@ -152,6 +143,11 @@ class GridState:
         raw = np.sum(np.conj(psi) * xc * (-1j * constants.hbar) * dpsi, axis=-1).real
         tot = np.sum(np.abs(psi) ** 2, axis=-1)
         return raw / tot
+
+    def repeated(self, rows: int) -> "GridState":
+        """A batch of `rows` independent copies of this single state."""
+        amps = np.broadcast_to(self.amplitudes, (rows, self.n)).copy()
+        return GridState(amps, self.dx_grid, self.x0)
 
     def renormalized(self) -> "GridState":
         nrm = self.norm()
@@ -385,31 +381,31 @@ def step_sne_nonlocal(
     return GridState(psi, state.dx_grid, state.x0, deviation)
 
 
-def branch_weights(state: GridState, cat: CatState, strict: bool = True):
-    """Density weight in each half-domain split at the cat midpoint (x = 0).
+def separation_series(
+    state: GridState,
+    kernel: SoftKernelSpec,
+    dt: float,
+    n_steps: int,
+    stride: int,
+):
+    """Two-packet separation under the nonlocal mean field.
 
-    With strict=True, raises when the midpoint density is an appreciable
-    fraction of the peak (the two-branch reading is then ill-defined).
-    Returns (w_left, w_right); scalars for a single state, arrays for a
-    batched one.
+    Takes n_steps of step_sne_nonlocal and, every stride steps, records the
+    time and the centroid of the density on x > 0 minus its centroid on
+    x < 0.  Returns (times, separations, final state).
     """
     x = state.x
-    rho = state.density()
-    if strict:
-        mid = np.argmin(np.abs(x))
-        mid_density = rho[..., mid]
-        peak = np.max(rho, axis=-1)
-        if np.any(mid_density > BRANCH_OVERLAP_FRACTION * peak):
-            raise IllDefinedBranchesError(
-                "midpoint density comparable to the peaks; branches overlap"
+    times, separations = [], []
+    for k in range(1, n_steps + 1):
+        state = step_sne_nonlocal(state, kernel, dt)
+        if k % stride == 0:
+            rho = state.density()
+            right, left = rho * (x > 0), rho * (x < 0)
+            times.append(k * dt)
+            separations.append(
+                np.sum(x * right) / np.sum(right) - np.sum(x * left) / np.sum(left)
             )
-    left_mask = x < 0.0
-    right_mask = x > 0.0
-    mid_mask = x == 0.0
-    total = np.sum(rho, axis=-1)
-    w_left = (np.sum(rho[..., left_mask], axis=-1) + 0.5 * np.sum(rho[..., mid_mask], axis=-1))
-    w_right = (np.sum(rho[..., right_mask], axis=-1) + 0.5 * np.sum(rho[..., mid_mask], axis=-1))
-    return w_left / total, w_right / total
+    return times, separations, state
 
 
 def coherence_series(
@@ -443,16 +439,8 @@ def coherence_series(
     if np.any(np.abs(steps_at * dt - times) > 1e-9) or np.any(times < 0):
         raise DomainError("times must be non-negative multiples of dt")
 
-    base = init_cat(cat, n, x_min, x_max, constants)
-    batch = np.broadcast_to(base.amplitudes, (len(seeds), n)).copy()
-    state = GridState(batch, base.dx_grid, base.x0)
-    ell_cells = int(round(cat.separation / base.dx_grid))
-
-    n_steps = int(steps_at.max())
-    incr = np.empty((n_steps, len(seeds)))
-    for col, s in enumerate(seeds):
-        incr[:, col] = wiener_increments(base_seed, s, n_steps, dt).increments[:, 0]
-
+    state = init_cat(cat, n, x_min, x_max, constants).repeated(len(seeds))
+    ell_cells = int(round(cat.separation / state.dx_grid))
     out = np.empty(times.shape)
     lookup = {int(k): i for i, k in enumerate(steps_at)}
 
@@ -468,31 +456,24 @@ def coherence_series(
         num = np.mean(seg).real * st.dx_grid
         out[lookup[k]] = num / math.sqrt(cat.weight_left * cat.weight_right)
 
-    record(0, state)
-    for k in range(n_steps):
-        state = step_quadratic(state, variant, dt, incr[k], constants, omega)
-        record(k + 1, state)
+    drive(
+        state,
+        lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
+        base_seed, seeds, int(steps_at.max()), dt, record,
+    )
     return out
 
 
-def ensemble_density_offdiag(
-    seeds,
-    cat: CatState,
-    variant: Variant,
-    t: float,
-    **kwargs,
-) -> float:
-    """Normalized coherence magnitude between branch centers at time t."""
-    return float(coherence_series(seeds, cat, variant, [t], **kwargs)[0])
+def branch_split_weights(state: GridState, cat: CatState) -> np.ndarray:
+    """Left-branch weight per trajectory with a dynamically located split.
 
-
-def _branch_split_weights(rho: np.ndarray, ell_cells: int):
-    """Left-branch weight with the split at the midpoint of the two branches.
-
-    The branches wander as a pair, so the split is located dynamically:
-    global density peak, partner peak one separation away on the denser
-    side, split halfway between them.
+    The branches wander as a pair, so the split follows them: global
+    density peak, partner peak one separation away on the denser side,
+    split halfway between them.  This stays meaningful deep into collapse.
+    Returns an array for a batched state and a float for a single one.
     """
+    rho = np.atleast_2d(state.density())
+    ell_cells = int(round(cat.separation / state.dx_grid))
     n = rho.shape[-1]
     rows = np.arange(rho.shape[0])
     i_peak = np.argmax(rho, axis=-1)
@@ -501,67 +482,5 @@ def _branch_split_weights(rho: np.ndarray, ell_cells: int):
     i_other = np.where(rho[rows, lo] > rho[rows, hi], lo, hi)
     i_split = (i_peak + i_other) // 2
     csum = np.cumsum(rho, axis=-1)
-    total = csum[:, -1]
-    return csum[rows, i_split] / total
-
-
-def branch_split_weights(state: GridState, cat: CatState) -> np.ndarray:
-    """Left-branch weight per trajectory with a dynamically located split.
-
-    Unlike branch_weights this follows the branches as they wander, so it
-    stays meaningful deep into collapse; the split is halfway between the
-    global density peak and its partner one separation away.
-    """
-    rho = np.atleast_2d(state.density())
-    ell_cells = int(round(cat.separation / state.dx_grid))
-    w = _branch_split_weights(rho, ell_cells)
+    w = csum[rows, i_split] / csum[:, -1]
     return w if state.amplitudes.ndim > 1 else float(w[0])
-
-
-def collapse_first_passage(
-    seeds,
-    cat: CatState,
-    variant: Variant,
-    threshold: float = 0.99,
-    dt: float = 1e-3,
-    t_final: float = 4.0,
-    base_seed: int = 0,
-    n: int = 2048,
-    x_min: float = -40.0,
-    x_max: float = 40.0,
-    constants: Constants = Constants(),
-    omega: float = 1.0,
-):
-    """First time each trajectory's dominant branch weight crosses threshold.
-
-    Returns (times, winners): times has NaN for trajectories still undecided
-    at t_final (censored); winners is +1 for the right branch, -1 for the
-    left, 0 while censored.
-    """
-    if not 0.5 < threshold < 1.0:
-        raise DomainError("threshold must lie in (0.5, 1)")
-    seeds = list(seeds)
-    base = init_cat(cat, n, x_min, x_max, constants)
-    batch = np.broadcast_to(base.amplitudes, (len(seeds), n)).copy()
-    state = GridState(batch, base.dx_grid, base.x0)
-    ell_cells = int(round(cat.separation / base.dx_grid))
-
-    n_steps = int(round(t_final / dt))
-    incr = np.empty((n_steps, len(seeds)))
-    for col, s in enumerate(seeds):
-        incr[:, col] = wiener_increments(base_seed, s, n_steps, dt).increments[:, 0]
-
-    times = np.full(len(seeds), np.nan)
-    winners = np.zeros(len(seeds), dtype=int)
-    undecided = np.ones(len(seeds), dtype=bool)
-    for k in range(n_steps):
-        state = step_quadratic(state, variant, dt, incr[k], constants, omega)
-        w_left = _branch_split_weights(state.density(), ell_cells)
-        crossed = undecided & (np.maximum(w_left, 1.0 - w_left) >= threshold)
-        if np.any(crossed):
-            times[crossed] = (k + 1) * dt
-            winners[crossed] = np.where(w_left[crossed] > 0.5, -1, 1)
-            undecided &= ~crossed
-            if not np.any(undecided):
-                break
-    return times, winners

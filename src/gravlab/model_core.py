@@ -17,6 +17,7 @@ adaptive quadrature because the profiles are spherical.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,23 +159,6 @@ class QuadraticCoefficients:
 
 
 @dataclass(frozen=True)
-class CatGeometry:
-    """Two-branch superposition geometry: branch separation and weights."""
-
-    separation: float
-    weight_left: float = 0.5
-    weight_right: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not self.separation > 0:
-            raise DomainError("cat separation must be positive")
-        if min(self.weight_left, self.weight_right) < 0:
-            raise DomainError("branch weights must be non-negative")
-        if abs(self.weight_left + self.weight_right - 1.0) > 1e-9:
-            raise DomainError("branch weights must sum to one")
-
-
-@dataclass(frozen=True)
 class QuadraticCheckResult:
     """Outcome of comparing the exact smeared potential energy with its
     quadratic expansion at Gaussian spread dx."""
@@ -185,11 +169,13 @@ class QuadraticCheckResult:
     within_domain: bool
 
 
+@functools.lru_cache(maxsize=64)
 def omega_g(profile: MassProfile) -> float:
     """Trap/collapse frequency of the profile, omega_g = sqrt((4pi/3) G M int f^2).
 
     The density-squared integral is evaluated by adaptive radial quadrature;
-    the profile normalization is re-checked the same way first.
+    the profile normalization is re-checked the same way first.  Profiles
+    are frozen, so the value is cached per profile (constants included).
     """
     profile._require_normalized()
     c = profile.constants
@@ -202,11 +188,13 @@ def omega_g(profile: MassProfile) -> float:
     return math.sqrt(4.0 * math.pi / 3.0 * c.G * c.mass * f2)
 
 
+@functools.lru_cache(maxsize=64)
 def self_energy(profile: MassProfile) -> float:
     """Newtonian self-energy E_G = -(G M^2 / 2) int int f f / |r - s|.
 
     Uses the shell-theorem reduction: E_G = -(G M^2 / 2) int f(r) psi(r) d^3r
-    with psi the profile's own unit potential.
+    with psi the profile's own unit potential.  Cached per profile, like
+    omega_g.
     """
     c = profile.constants
     val, _ = integrate.quad(

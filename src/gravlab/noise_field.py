@@ -4,7 +4,10 @@ Three layers:
 
 * wiener_increments: counter-based Gaussian increments.  Every increment is a
   pure function of (base_seed, trajectory_index, step), so ensembles are
-  reproducible bit-for-bit regardless of execution order.
+  reproducible bit-for-bit regardless of execution order.  drive is the one
+  ensemble stepping loop built on them: it advances a batch of trajectories,
+  each along its own stream (base_seed, j), and shows every intermediate
+  state to an observer.
 * sample_phi_field: a real random potential on a periodic 3D grid with
   spatial covariance G hbar / |r - s| per unit time, synthesized spectrally
   with weights sqrt(4 pi G hbar / k^2) and the uniform mode removed.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as sfft
@@ -86,6 +90,32 @@ def wiener_increments(
     gen = _philox(base_seed, trajectory_index)
     incr = gen.standard_normal((n_steps, n_axes)) * math.sqrt(dt)
     return NoisePath(base_seed, trajectory_index, dt, incr)
+
+
+def drive(
+    state,
+    advance: Callable,
+    base_seed: int,
+    indices: Sequence[int],
+    n_steps: int,
+    dt: float,
+    observe: Callable,
+) -> None:
+    """Step a batch of trajectories along their own single-axis noise streams.
+
+    Batch column col follows stream (base_seed, indices[col]), so a
+    trajectory's path does not depend on which batch carries it or where.
+    Step k + 1 is ``state = advance(state, dW)`` with dW the k-th increment of
+    every column, and ``observe(k, state)`` sees the state after k steps, for
+    k = 0 .. n_steps in order.
+    """
+    table = np.empty((n_steps, len(indices)))
+    for col, j in enumerate(indices):
+        table[:, col] = wiener_increments(base_seed, j, n_steps, dt).increments[:, 0]
+    observe(0, state)
+    for k in range(n_steps):
+        state = advance(state, table[k])
+        observe(k + 1, state)
 
 
 @dataclass(frozen=True)
@@ -193,11 +223,6 @@ def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> n
     return sfft.rfftn(profile.density(r))
 
 
-@functools.lru_cache(maxsize=32)
-def _omega_cached(profile: MassProfile) -> float:
-    return omega_g(profile)
-
-
 def reduce_phi_to_w(
     field: PhiFieldSample,
     profile: MassProfile,
@@ -224,7 +249,7 @@ def reduce_phi_to_w(
     # sum_r A B h^3 = (h^3 / N^3) sum_k Ahat conj(Bhat); gradient brings i k_a
     pref = (
         math.sqrt(c.mass / c.hbar)
-        / _omega_cached(profile)
+        / omega_g(profile)
         * grid.h**3
         / grid.n**3
     )

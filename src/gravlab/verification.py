@@ -37,6 +37,7 @@ from .grid_dynamics import (
     coherence_series,
     init_cat,
     init_gaussian,
+    separation_series,
     step_quadratic,
     step_sne_nonlocal,
 )
@@ -402,34 +403,18 @@ def criterion_13(workers: int = 1) -> CriterionResult:
     kernel = SoftKernelSpec(1.0, 5.0)
     c = _Checks()
 
-    state = init_cat(CatState(1.1 + 0.0j, 5.0), **box)
-    x = state.x
-    separations = []
-    for k in range(2_500):
-        state = step_sne_nonlocal(state, kernel, 1e-3)
-        if (k + 1) % 100 == 0:
-            rho = state.density()
-            right, left = rho * (x > 0), rho * (x < 0)
-            separations.append(
-                np.sum(x * right) / np.sum(right) - np.sum(x * left) / np.sum(left)
-            )
+    _, separations, state = separation_series(
+        init_cat(CatState(1.1 + 0.0j, 5.0), **box), kernel, 1e-3, 2_500, 100
+    )
     c.add(bool(np.all(np.diff(separations) < 0)),
           f"packet separation decreases monotonically: {separations[0]:.3f} "
           f"-> {separations[-1]:.3f} over t = 2.5")
     com = abs(float(state.mean_x()))
     c.add(com <= 1e-6, f"centre of mass stays put: |mean x| = {com:.1e} (<= 1e-6)")
 
-    state = init_cat(CatState(3.0 + 0.0j, 5.0), **box)
-    times, values = [], []
-    for k in range(300):
-        state = step_sne_nonlocal(state, kernel, 1e-3)
-        if (k + 1) % 25 == 0:
-            rho = state.density()
-            right, left = rho * (x > 0), rho * (x < 0)
-            times.append((k + 1) * 1e-3)
-            values.append(
-                np.sum(x * right) / np.sum(right) - np.sum(x * left) / np.sum(left)
-            )
+    times, values, _ = separation_series(
+        init_cat(CatState(3.0 + 0.0j, 5.0), **box), kernel, 1e-3, 300, 25
+    )
     accel = 2.0 * np.polyfit(times, values, 2)[0]
     classical = -kernel.strength * 5.0 / (5.0**2 + kernel.a_soft**2) ** 1.5
     c.add(abs(accel / classical - 1.0) <= 0.05,

@@ -8,7 +8,13 @@ import pytest
 
 from gravlab import ensemble_stats as es
 from gravlab.errors import ContainmentError, DomainError, StatisticsError
-from gravlab.gaussian_dynamics import GaussianState, TrajectoryRecord, Variant, run_trajectory
+from gravlab.gaussian_dynamics import (
+    GaussianState,
+    TrajectoryRecord,
+    Variant,
+    kinetic_energy,
+    step,
+)
 from gravlab.grid_dynamics import CatState
 from gravlab.noise_field import wiener_increments
 
@@ -98,8 +104,12 @@ class TestRunEnsemble:
         records = es.run_ensemble(cfg)
         for rec in records:
             np.testing.assert_allclose(rec.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-            for name in ("xbar", "pbar", "delta_x", "kinetic"):
+            assert rec.times[0] == 0.0
+            for name in ("xbar", "pbar", "delta_x", "kinetic", "a"):
+                assert getattr(rec, name).shape == (6,)
                 assert np.all(np.isfinite(getattr(rec, name)))
+            # the soliton start keeps its width
+            np.testing.assert_allclose(rec.delta_x, np.sqrt(0.5), rtol=1e-12)
 
     def test_solvers_agree_trajectory_by_trajectory(self):
         shared = dict(variant=Variant.GSSE, n_trajectories=4, t_final=0.2,
@@ -138,12 +148,26 @@ class TestRunEnsemble:
         # Python complex division rounds differently off the fixed point
         start = GaussianState(np.full(1, initial.xbar), np.full(1, initial.pbar),
                               np.full(1, a0))
+        times = [k * cfg.dt for k in range(0, cfg.n_steps + 1, cfg.stride)]
         for j, rec in enumerate(records):
-            path = wiener_increments(cfg.base_seed, j, cfg.n_steps, cfg.dt)
-            ref = run_trajectory(start, variant, path, cfg.constants, cfg.omega, cfg.stride)
-            for name in ("times", "xbar", "pbar", "delta_x", "kinetic", "a"):
-                np.testing.assert_array_equal(getattr(rec, name),
-                                              np.ravel(getattr(ref, name)), err_msg=name)
+            # reference: one trajectory stepped by hand along its own stream
+            dws = wiener_increments(cfg.base_seed, j, cfg.n_steps, cfg.dt).increments[:, 0]
+            state, samples = start, [start]
+            for k, dw in enumerate(dws, start=1):
+                state = step(state, variant, cfg.dt, dw, cfg.constants, cfg.omega)
+                if k % cfg.stride == 0:
+                    samples.append(state)
+            ref = {
+                "times": times,
+                "xbar": [s.xbar for s in samples],
+                "pbar": [s.pbar for s in samples],
+                "delta_x": [np.sqrt(s.delta_x2) for s in samples],
+                "kinetic": [kinetic_energy(s, cfg.constants) for s in samples],
+                "a": [s.a for s in samples],
+            }
+            for name, want in ref.items():
+                np.testing.assert_array_equal(getattr(rec, name), np.ravel(want),
+                                              err_msg=name)
 
 
 class TestKineticEnergyRate:
@@ -299,6 +323,28 @@ class TestCollapseStats:
         details = result.diagnostics.details
         assert details["n_censored"] <= 2
         assert 0.25 < details["winner_fraction_right"] < 0.75
+
+    def test_collapse_worker_count_does_not_change_records(self):
+        cat = CatState(1.5 + 0.0j, 4.0)
+        runs = [
+            es.run_collapse_ensemble(cat, Variant.GSSE, 5, 0.01, dt=5e-4, base_seed=3,
+                                     n=256, x_min=-10.0, x_max=10.0, workers=w)
+            for w in (1, 2, 3)
+        ]
+        for records in runs[1:]:
+            assert [r.trajectory for r in records] == list(range(5))
+            for x, y in zip(runs[0], records):
+                np.testing.assert_array_equal(x.times, y.times)
+                np.testing.assert_array_equal(x.weight_left, y.weight_left)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_collapse_failure_names_the_trajectory(self, workers):
+        # contained at the start (6 packet widths), but the branch tails
+        # reach the box edge after one step
+        cat = CatState(1.5 + 0.0j, 14.0)
+        with pytest.raises(ContainmentError, match="trajectory 0"):
+            es.run_collapse_ensemble(cat, Variant.GSSE, 4, 0.01, dt=5e-4,
+                                     n=256, x_min=-10.0, x_max=10.0, workers=workers)
 
 
 def csv_writer_reference(records, path, observables=es.OBSERVABLES):

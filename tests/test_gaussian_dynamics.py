@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from gravlab import ensemble_stats as es
 from gravlab.errors import DomainError, InstabilityError
 from gravlab.gaussian_dynamics import (
     GaussianState,
     Variant,
     kinetic_energy,
-    run_trajectory,
     soliton_state,
     step,
     variant_coefficients,
@@ -25,6 +25,14 @@ from gravlab.model_core import Constants
 from gravlab.noise_field import wiener_increments
 
 SQ2 = math.sqrt(2.0)
+
+
+def stepped(state, variant, path):
+    """The start state and the state after each step along a noise path."""
+    states = [state]
+    for dw in path.increments[:, 0]:
+        states.append(step(states[-1], variant, path.dt, dw))
+    return states
 
 
 def riccati_rhs_factory(variant, constants=Constants(), omega=1.0):
@@ -184,10 +192,10 @@ class TestWidthFlow:
         p1 = wiener_increments(1, 0, 200, 1e-3)
         p2 = wiener_increments(99, 7, 200, 1e-3)
         s0 = GaussianState(0.0, 0.0, 1.1 - 0.3j)
-        r1 = run_trajectory(s0, Variant.SSNE, p1)
-        r2 = run_trajectory(s0, Variant.SSNE, p2)
-        assert np.array_equal(r1.a, r2.a)
-        assert not np.array_equal(r1.xbar, r2.xbar)
+        r1 = stepped(s0, Variant.SSNE, p1)
+        r2 = stepped(s0, Variant.SSNE, p2)
+        assert [s.a for s in r1] == [s.a for s in r2]
+        assert [s.xbar for s in r1] != [s.xbar for s in r2]
 
 
 class TestMeans:
@@ -211,15 +219,15 @@ class TestMeans:
 
     def test_ssne_soliton_momentum_exactly_constant(self):
         path = wiener_increments(31, 2, 5000, 1e-3)
-        rec = run_trajectory(GaussianState(0.0, 0.7, soliton_state(Variant.SSNE).a),
-                             Variant.SSNE, path)
-        assert np.all(rec.pbar == 0.7)  # zero deviation at every step
+        states = stepped(GaussianState(0.0, 0.7, soliton_state(Variant.SSNE).a),
+                         Variant.SSNE, path)
+        assert all(s.pbar == 0.7 for s in states)  # zero deviation at every step
 
     def test_ssne_soliton_position_is_pure_wiener(self):
         path = wiener_increments(8, 0, 2000, 1e-3)
-        rec = run_trajectory(soliton_state(Variant.SSNE), Variant.SSNE, path)
+        states = stepped(soliton_state(Variant.SSNE), Variant.SSNE, path)
         want = np.concatenate([[0.0], np.cumsum(path.increments[:, 0])])
-        assert np.allclose(rec.xbar, want, rtol=0.0, atol=1e-13)
+        assert np.allclose([s.xbar for s in states], want, rtol=0.0, atol=1e-13)
 
     def test_gsse_ensemble_diffusion_laws(self):
         # vectorized ensemble at the stationary width; exact continuum laws:
@@ -301,35 +309,31 @@ class TestKineticEnergy:
 
 
 class TestRunTrajectory:
+    """Single trajectories as the ensemble runner records them."""
+
     def test_record_layout(self):
-        path = wiener_increments(4, 1, 100, 2e-3)
-        rec = run_trajectory(soliton_state(Variant.GSSE), Variant.GSSE, path,
-                             record_stride=10)
-        assert rec.times.shape == (11,)
-        assert np.allclose(np.diff(rec.times), 2e-2, rtol=1e-12)
-        assert rec.times[0] == 0.0
-        for arr in (rec.xbar, rec.pbar, rec.delta_x, rec.kinetic, rec.a):
-            assert arr.shape == (11,)
-        assert np.all(np.isfinite(rec.xbar))
-        assert np.allclose(rec.delta_x, math.sqrt(0.5), rtol=1e-12)
+        cfg = es.EnsembleConfig(Variant.GSSE, n_trajectories=2, t_final=0.2, dt=2e-3,
+                                base_seed=4, record_stride=10)
+        for rec in es.run_ensemble(cfg):
+            assert rec.times.shape == (11,)
+            assert np.allclose(np.diff(rec.times), 2e-2, rtol=1e-12)
+            assert rec.times[0] == 0.0
+            for arr in (rec.xbar, rec.pbar, rec.delta_x, rec.kinetic, rec.a):
+                assert arr.shape == (11,)
+            assert np.all(np.isfinite(rec.xbar))
+            assert np.allclose(rec.delta_x, math.sqrt(0.5), rtol=1e-12)
 
     def test_matches_manual_stepping(self):
+        cfg = es.EnsembleConfig(Variant.GSSE, n_trajectories=4, t_final=0.05, dt=1e-3,
+                                base_seed=6, record_stride=50)
+        rec = es.run_ensemble(cfg)[3]
         path = wiener_increments(6, 3, 50, 1e-3)
-        rec = run_trajectory(soliton_state(Variant.GSSE), Variant.GSSE, path)
         s = soliton_state(Variant.GSSE)
         for k in range(50):
             s = step(s, Variant.GSSE, 1e-3, path.increments[k, 0])
         assert rec.xbar[-1] == s.xbar
         assert rec.pbar[-1] == s.pbar
         assert rec.a[-1] == s.a
-
-    def test_rejects_multi_axis_path_and_bad_stride(self):
-        path3 = wiener_increments(1, 0, 10, 1e-3, n_axes=3)
-        with pytest.raises(DomainError):
-            run_trajectory(soliton_state(Variant.SNE), Variant.SNE, path3)
-        path1 = wiener_increments(1, 0, 10, 1e-3)
-        with pytest.raises(DomainError):
-            run_trajectory(soliton_state(Variant.SNE), Variant.SNE, path1, record_stride=0)
 
 
 class TestVariantCoefficients:

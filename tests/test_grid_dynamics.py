@@ -1,20 +1,16 @@
 """Grid solver checks: moment fidelity, stepping accuracy against the
 closed-form Gaussian propagator on shared noise, norm diagnostics, branch
-bookkeeping, collapse statistics, and the nonlocal mean-field mode."""
+bookkeeping, collapse statistics, coherence, and the nonlocal mean-field
+mode."""
 import math
 
 import numpy as np
 import pytest
 
+from gravlab import ensemble_stats as es
 from gravlab import grid_dynamics as gd
 from gravlab import gaussian_dynamics as gauss
-from gravlab.errors import (
-    ContainmentError,
-    DomainError,
-    IllDefinedBranchesError,
-    StatisticsError,
-    StepSizeError,
-)
+from gravlab.errors import ContainmentError, DomainError, StatisticsError, StepSizeError
 from gravlab.gaussian_dynamics import Variant, soliton_state
 from gravlab.model_core import Constants
 from gravlab.noise_field import wiener_increments
@@ -199,50 +195,60 @@ class TestStepQuadratic:
 class TestBranchWeights:
     def test_fresh_symmetric_cat(self):
         cat = gd.CatState(4.0 + 0.0j, 2.0)
-        wl, wr = gd.branch_weights(gd.init_cat(cat), cat)
-        assert abs(wl - 0.5) < 1e-6
-        assert abs(wl + wr - 1.0) < 1e-9
+        wl = gd.branch_split_weights(gd.init_cat(cat), cat)
+        assert isinstance(wl, float)
+        # the cell at x = 0 falls to the right of the split; this close cat
+        # holds 4e-5 of its mass there, so w_left = 0.5 - 2e-5
+        assert abs(wl - 0.5) < 1e-4
+        batch = gd.branch_split_weights(gd.init_cat(cat).repeated(3), cat)
+        np.testing.assert_array_equal(batch, np.full(3, wl))
 
     def test_asymmetric_weights_recovered(self):
         cat = gd.CatState(4.0 + 0.0j, 8.0, weight_left=0.2, weight_right=0.8)
-        wl, wr = gd.branch_weights(gd.init_cat(cat), cat)
+        wl = gd.branch_split_weights(gd.init_cat(cat), cat)
         assert abs(wl - 0.2) < 1e-3
-        assert abs(wl + wr - 1.0) < 1e-9
-
-    def test_overlapping_branches_rejected(self):
-        cat = gd.CatState(4.0 + 0.0j, 2.0)
-        blob = gd.init_gaussian(0.0, 0.0, 0.5 + 0.0j)
-        with pytest.raises(IllDefinedBranchesError):
-            gd.branch_weights(blob, cat)
-        wl, wr = gd.branch_weights(blob, cat, strict=False)
-        assert abs(wl + wr - 1.0) < 1e-9
 
 
 class TestCollapse:
     def test_first_passage_times_and_winners(self):
         cat = gd.CatState(1.5 + 0.0j, 8.0)
-        times, winners = gd.collapse_first_passage(
-            range(100), cat, Variant.GSSE, dt=2e-4, t_final=0.4, base_seed=33,
-            n=1024, x_min=-40.0, x_max=40.0,
+        records = es.run_collapse_ensemble(
+            cat, Variant.GSSE, n_trajectories=100, t_final=0.4, dt=2e-4,
+            base_seed=33, n=1024, x_min=-40.0, x_max=40.0, workers=2,
         )
+        # first passage read off each branch-weight series directly
+        times, winners = [], []
+        for rec in records:
+            w = rec.weight_left
+            hits = np.flatnonzero((w >= 0.99) | (w <= 0.01))
+            times.append(rec.times[hits[0]] if hits.size else np.nan)
+            winners.append((-1 if w[hits[0]] > 0.5 else 1) if hits.size else 0)
+        times, winners = np.array(times), np.array(winners)
         decided = ~np.isnan(times)
         assert decided.mean() > 0.95
         assert set(np.unique(winners[decided])) <= {-1, 1}
         median = float(np.median(times[decided]))
         # first-passage scale is hbar / (M omega_g^2 ell^2 / 2) = 2 / ell^2
         assert 0.5 * (2.0 / 64.0) < median < 2.0 * (2.0 / 64.0)
+        result = es.collapse_time_stats(records, threshold=0.99)
+        assert result.estimate == median
+        details = result.diagnostics.details
+        assert details["n_censored"] == int((~decided).sum())
+        assert details["winner_fraction_right"] == np.mean(winners[decided] == 1)
 
     def test_threshold_validation(self):
         cat = gd.CatState(1.5 + 0.0j, 8.0)
-        with pytest.raises(DomainError):
-            gd.collapse_first_passage(range(4), cat, Variant.GSSE, threshold=0.4)
+        records = es.run_collapse_ensemble(cat, Variant.GSSE, 4, 0.01, dt=1e-3)
+        for threshold in (0.4, 0.5, 1.0):
+            with pytest.raises(DomainError):
+                es.collapse_time_stats(records, threshold=threshold)
 
 
 class TestCoherence:
     def test_requires_enough_seeds(self):
         cat = gd.CatState(4.0 + 0.0j, 2.0)
         with pytest.raises(StatisticsError):
-            gd.ensemble_density_offdiag(range(10), cat, Variant.GSSE, 0.1)
+            gd.coherence_series(range(10), cat, Variant.GSSE, [0.1])
 
     def test_rejects_noiseless_variant_and_bad_times(self):
         cat = gd.CatState(4.0 + 0.0j, 2.0)

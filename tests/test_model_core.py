@@ -16,7 +16,6 @@ from scipy.special import erf
 
 from gravlab.errors import DomainError, InvalidProfileError
 from gravlab.model_core import (
-    CatGeometry,
     Constants,
     MassProfile,
     delta_e_g,
@@ -86,8 +85,18 @@ class TestOmegaG:
         broken = MassProfile.uniform_sphere(1.0)
         orig = MassProfile.density
         monkeypatch.setattr(MassProfile, "density", lambda self, r: 1.01 * orig(self, r))
+        # values are cached per profile; the guard runs when one is computed
+        omega_g.cache_clear()
         with pytest.raises(InvalidProfileError):
             omega_g(broken)
+
+    def test_cached_per_profile_and_constants(self):
+        again = MassProfile.uniform_sphere(1.0)
+        assert omega_g(again) is omega_g(UNIFORM)
+        assert self_energy(again) is self_energy(UNIFORM)
+        heavy = MassProfile.uniform_sphere(1.0, Constants(mass=4.0))
+        assert omega_g(heavy) == pytest.approx(2.0 * omega_g(UNIFORM), rel=1e-12)
+        assert self_energy(heavy) == pytest.approx(16.0 * self_energy(UNIFORM), rel=1e-12)
 
 
 class TestSelfEnergy:
@@ -223,13 +232,6 @@ class TestQuadraticCheck:
 
 
 class TestTypes:
-    def test_cat_geometry_validation(self):
-        CatGeometry(2.0)
-        with pytest.raises(DomainError):
-            CatGeometry(-1.0)
-        with pytest.raises(DomainError):
-            CatGeometry(1.0, 0.7, 0.7)
-
     def test_quadratic_coefficients(self):
         qc = quadratic_coefficients(UNIFORM)
         assert abs(qc.offset - (-1.2)) < 1e-8

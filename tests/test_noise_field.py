@@ -16,6 +16,7 @@ from gravlab.model_core import Constants, MassProfile, omega_g
 from gravlab.noise_field import (
     FieldGrid,
     PhiFieldSample,
+    drive,
     reduce_phi_to_w,
     sample_phi_field,
     wiener_increments,
@@ -137,6 +138,43 @@ class TestWienerIncrements:
         p = wiener_increments(1, 2, 30, 0.5, n_axes=3)
         assert (p.n_steps, p.n_axes) == (30, 3)
         assert (p.base_seed, p.trajectory_index, p.dt) == (1, 2, 0.5)
+
+
+def driven(base_seed, indices, n_steps, dt):
+    """Rows fed to each step and the (k, state) pairs the observer saw.
+
+    The state counts the steps taken, so each observation shows whether it
+    came after the right number of steps.
+    """
+    rows, seen = [], []
+
+    def advance(state, dw):
+        rows.append(dw.copy())
+        return state + 1
+
+    drive(0, advance, base_seed, indices, n_steps, dt,
+          lambda k, state: seen.append((k, state)))
+    return np.array(rows).reshape(n_steps, len(indices)), seen
+
+
+class TestDrive:
+    def test_rows_follow_each_trajectory_stream(self):
+        rows, _ = driven(21, [5, 2, 9], 40, 0.01)
+        for col, j in enumerate([5, 2, 9]):
+            want = wiener_increments(21, j, 40, 0.01).increments[:, 0]
+            np.testing.assert_array_equal(rows[:, col], want)
+
+    def test_split_batches_feed_the_same_rows(self):
+        whole, _ = driven(21, [5, 2, 9], 40, 0.01)
+        first, _ = driven(21, [5], 40, 0.01)
+        rest, _ = driven(21, [2, 9], 40, 0.01)
+        np.testing.assert_array_equal(np.hstack([first, rest]), whole)
+
+    def test_observer_sees_every_step_in_order(self):
+        _, seen = driven(0, [0, 1], 7, 0.1)
+        assert seen == [(k, k) for k in range(8)]
+        _, seen = driven(0, [0, 1], 0, 0.1)
+        assert seen == [(0, 0)]
 
 
 class TestPhiField:
