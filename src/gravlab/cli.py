@@ -100,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=None,
                         help="base seed for all trajectory noise streams")
     shared.add_argument("--workers", type=int, default=None,
-                        help="worker threads for grid ensembles (default: available "
-                             "cores); Gaussian ensembles run on one thread, where "
-                             "threads made them slower")
+                        help="worker threads for grid ensembles and the cat "
+                             "coherence study (default: available cores); Gaussian "
+                             "ensembles run on one thread, where threads made them "
+                             "slower")
     shared.add_argument("--out-dir", type=Path, default=None,
                         help="directory for CSV/JSON output (default: .)")
     shared.add_argument("--dt", type=float, default=None, help="integrator step")
@@ -380,7 +381,7 @@ def _run_cat(settings: dict) -> int:
         coherence = coherence_series(
             range(settings["trajectories"]), cat, settings["variant"], times,
             dt=settings["dt"], base_seed=settings["seed"], n=2048,
-            x_min=-40.0, x_max=40.0,
+            x_min=-40.0, x_max=40.0, workers=settings["workers"],
         )
         rate = float(-np.polyfit(times, np.log(coherence), 1)[0])
         table = out / "cat_coherence.csv"

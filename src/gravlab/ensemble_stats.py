@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GravlabError, StatisticsError
+from .errors import DomainError, StatisticsError
 from .gaussian_dynamics import (
     GaussianState,
     TrajectoryRecord,
@@ -34,7 +33,7 @@ from .grid_dynamics import (
     step_quadratic,
 )
 from .model_core import Constants
-from .noise_field import drive
+from .noise_field import drive, map_chunks
 
 OBSERVABLES = ("xbar", "pbar", "delta_x", "kinetic")
 SOLVERS = ("gaussian", "grid")
@@ -183,43 +182,14 @@ def _grid_moments(st: GridState, constants: Constants):
             st.kinetic_energy(constants), a_eff)
 
 
-def _map_chunks(run_chunk, n_trajectories: int, workers: int) -> list:
-    """run_chunk over contiguous index chunks, concatenated in index order.
-
-    One chunk runs on the calling thread; more go to a thread pool.  When a
-    chunk fails with a solver error, its trajectories are rerun one by one
-    and the error is raised again naming the first one that fails.
-    """
-
-    def attributed(indices):
-        try:
-            return run_chunk(indices)
-        except GravlabError as exc:
-            if len(indices) == 1:
-                raise type(exc)(f"trajectory {indices[0]}: {exc}") from exc
-            for j in indices:
-                try:
-                    run_chunk([j])
-                except GravlabError as single:
-                    raise type(single)(f"trajectory {j}: {single}") from single
-            raise
-
-    chunks = [c.tolist() for c in np.array_split(np.arange(n_trajectories), workers) if c.size]
-    if len(chunks) == 1:
-        return attributed(chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(attributed, chunks))
-    return [rec for part in parts for rec in part]
-
-
 def run_ensemble(config: EnsembleConfig, workers: int = 1) -> list[TrajectoryRecord]:
     """All trajectories of the configured ensemble, in trajectory order.
 
     Gaussian ensembles run as one vectorized chunk on the calling thread
     whatever ``workers`` says: each step is a handful of small numpy calls
-    that hold the interpreter lock, and threads made them slower.  For the
-    grid solver, workers > 1 splits the ensemble into contiguous chunks on
-    the thread pool that ``run_collapse_ensemble`` also uses.  Records are
+    that hold the interpreter lock, and threads made them slower.  Grid
+    ensembles are stepped in cache-sized blocks of contiguous trajectories
+    by ``noise_field.map_chunks``, on ``workers`` threads.  Records are
     identical to the workers=1 output either way, and a solver failure is
     raised naming the trajectory at fault.
     """
@@ -227,8 +197,10 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> list[TrajectoryRec
         raise DomainError("workers must be >= 1")
     if config.solver == "gaussian":
         batch, stepper, moments, workers = _gaussian_batch, step, _gaussian_moments, 1
+        n_cells = None
     else:
         batch, stepper, moments = _grid_batch, step_quadratic, _grid_moments
+        n_cells = config.grid_n
     variant, dt, consts, omega = config.variant, config.dt, config.constants, config.omega
     stride = config.stride
 
@@ -247,7 +219,8 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> list[TrajectoryRec
         )
         return _assemble_records(times, samples)
 
-    return _map_chunks(run_chunk, config.n_trajectories, workers)
+    parts = map_chunks(run_chunk, range(config.n_trajectories), workers, n_cells)
+    return [rec for part in parts for rec in part]
 
 
 @dataclass(frozen=True)
@@ -474,8 +447,9 @@ def run_collapse_ensemble(
     """Grid cat ensemble recording the branch-weight series per trajectory.
 
     Records are identical whatever ``workers`` says: the trajectories are
-    split into contiguous chunks on the thread pool that ``run_ensemble``
-    also uses, and a solver failure is raised naming the trajectory at fault.
+    stepped in cache-sized blocks by ``noise_field.map_chunks``, on
+    ``workers`` threads, and a solver failure is raised naming the
+    trajectory at fault.
     """
     if n_trajectories < 2:
         raise DomainError("need at least 2 trajectories")
@@ -503,7 +477,8 @@ def run_collapse_ensemble(
             for col, j in enumerate(indices)
         ]
 
-    return _map_chunks(run_chunk, n_trajectories, workers)
+    parts = map_chunks(run_chunk, range(n_trajectories), workers, n)
+    return [rec for part in parts for rec in part]
 
 
 def collapse_time_stats(records, threshold: float = 0.99) -> EstimatorResult:

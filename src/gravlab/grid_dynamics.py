@@ -33,7 +33,7 @@ from scipy import fft as sfft
 from .errors import ContainmentError, DomainError, StatisticsError, StepSizeError
 from .gaussian_dynamics import Variant, variant_coefficients
 from .model_core import Constants
-from .noise_field import drive
+from .noise_field import drive, map_chunks
 
 DEFAULT_N = 1024
 DEFAULT_X_MIN = -20.0
@@ -53,13 +53,18 @@ def _k_grids(n: int, dx: float):
     kd = k.copy()
     if n % 2 == 0:
         kd[n // 2] = 0.0  # aliased Nyquist has no usable derivative sign
+    # cached arrays are shared by every caller and pool thread; read-only,
+    # an in-place write raises instead of corrupting them all
+    k.flags.writeable = kd.flags.writeable = False
     return k, kd
 
 
 @functools.lru_cache(maxsize=32)
 def _half_kinetic_factor(n: int, dx: float, dt: float, hbar: float, mass: float):
     k, _ = _k_grids(n, dx)
-    return np.exp(-0.25j * hbar * k**2 * dt / mass)
+    factor = np.exp(-0.25j * hbar * k**2 * dt / mass)
+    factor.flags.writeable = False
+    return factor
 
 
 @functools.lru_cache(maxsize=16)
@@ -68,7 +73,9 @@ def _dealias_mask(n: int, dx: float):
     # step and get parametrically pumped by a state-dependent potential;
     # our packets carry no physical content there
     k, _ = _k_grids(n, dx)
-    return (np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k))).astype(float)
+    mask = (np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k))).astype(float)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +345,9 @@ def _soft_kernel_spectrum(n: int, dx: float, a_soft: float, strength: float):
     m = np.arange(2 * n)
     disp = dx * (((m + n) % (2 * n)) - n)
     kern = -strength / np.sqrt(disp**2 + a_soft**2)
-    return sfft.rfft(kern)
+    spec = sfft.rfft(kern)
+    spec.flags.writeable = False
+    return spec
 
 
 def mean_field_potential(state: GridState, kernel: SoftKernelSpec) -> np.ndarray:
@@ -420,48 +429,60 @@ def coherence_series(
     x_max: float = DEFAULT_X_MAX,
     constants: Constants = Constants(),
     omega: float = 1.0,
+    workers: int = 1,
 ) -> np.ndarray:
     """Normalized ensemble coherence between the two branches at each time.
 
-    Runs one batched trajectory per entry of seeds (trajectory stream
-    indices under base_seed) and evaluates the ensemble-mean displaced
-    overlap
+    Runs one trajectory per entry of seeds (trajectory stream indices under
+    base_seed) and evaluates the ensemble-mean displaced overlap
         Re mean_traj int psi*(x) psi(x + ell) dx / sqrt(w_L w_R)
-    at the requested times, which must be multiples of dt.
+    at the requested times, which must be multiples of dt; a time may be
+    listed more than once.  The trajectories are stepped in cache-sized
+    blocks by map_chunks, on `workers` threads; the per-trajectory overlaps
+    of all blocks are averaged at once, so the result is the same bytes
+    whatever the worker count.
     """
     seeds = list(seeds)
     if len(seeds) < MIN_COHERENCE_SEEDS:
         raise StatisticsError(f"need at least {MIN_COHERENCE_SEEDS} seeds")
     if variant is Variant.SNE:
         raise DomainError("coherence decay needs a noisy variant")
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     steps_at = np.round(times / dt).astype(int)
     if np.any(np.abs(steps_at * dt - times) > 1e-9) or np.any(times < 0):
         raise DomainError("times must be non-negative multiples of dt")
+    steps, slot = np.unique(steps_at, return_inverse=True)
+    lookup = {int(k): i for i, k in enumerate(steps)}
 
-    state = init_cat(cat, n, x_min, x_max, constants).repeated(len(seeds))
-    ell_cells = int(round(cat.separation / state.dx_grid))
-    out = np.empty(times.shape)
-    lookup = {int(k): i for i, k in enumerate(steps_at)}
+    start = init_cat(cat, n, x_min, x_max, constants)
+    ell_cells = int(round(cat.separation / start.dx_grid))
 
-    def record(k, st):
-        if k not in lookup:
-            return
-        # displaced overlap int psi*(x) psi(x + ell) dx isolates the
-        # cross-branch off-diagonal and tolerates branch wandering; branch
-        # masses are martingales, so the t=0 weights normalize it.  The real
-        # part avoids the upward folding bias of |mean| at low coherence.
-        psi = st.amplitudes
-        seg = np.sum(np.conj(psi[:, :-ell_cells]) * psi[:, ell_cells:], axis=-1)
-        num = np.mean(seg).real * st.dx_grid
-        out[lookup[k]] = num / math.sqrt(cat.weight_left * cat.weight_right)
+    def run_chunk(indices):
+        seg = np.empty((steps.size, len(indices)), dtype=complex)
 
-    drive(
-        state,
-        lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
-        base_seed, seeds, int(steps_at.max()), dt, record,
-    )
-    return out
+        def record(k, st):
+            # displaced overlap int psi*(x) psi(x + ell) dx isolates the
+            # cross-branch off-diagonal and tolerates branch wandering
+            if k in lookup:
+                psi = st.amplitudes
+                seg[lookup[k]] = np.sum(
+                    np.conj(psi[:, :-ell_cells]) * psi[:, ell_cells:], axis=-1
+                )
+
+        drive(
+            start.repeated(len(indices)),
+            lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
+            base_seed, indices, int(steps[-1]), dt, record,
+        )
+        return seg
+
+    seg = np.concatenate(map_chunks(run_chunk, seeds, workers, n), axis=1)
+    # branch masses are martingales, so the t=0 weights normalize the mean;
+    # its real part avoids the upward folding bias of |mean| at low coherence
+    num = np.mean(seg, axis=1).real * start.dx_grid
+    return (num / math.sqrt(cat.weight_left * cat.weight_right))[slot]
 
 
 def branch_split_weights(state: GridState, cat: CatState) -> np.ndarray:

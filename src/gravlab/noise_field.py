@@ -7,7 +7,8 @@ Three layers:
   reproducible bit-for-bit regardless of execution order.  drive is the one
   ensemble stepping loop built on them: it advances a batch of trajectories,
   each along its own stream (base_seed, j), and shows every intermediate
-  state to an observer.
+  state to an observer.  map_chunks is the one way an ensemble is split
+  into such batches and spread over worker threads.
 * sample_phi_field: a real random potential on a periodic 3D grid with
   spatial covariance G hbar / |r - s| per unit time, synthesized spectrally
   with weights sqrt(4 pi G hbar / k^2) and the uniform mode removed.
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, GravlabError, ResolutionError
 from .model_core import Constants, MassProfile, omega_g
 
 _MASK64 = (1 << 64) - 1
@@ -40,6 +42,16 @@ _FIELD_STREAM_BIT = 1 << 63
 # Minimum number of grid cells per profile characteristic length for the
 # reduction to be trustworthy.
 MIN_CELLS_PER_LENGTH = 8
+
+# Complex cells (1 MiB) in one grid chunk.  A block and the temporaries of a
+# step on it stay in a core's L2 cache, and blocks let threads share a batch:
+# on a 2-core machine, 1000 cat trajectories of 2048 cells stepped 1.4x
+# (GSSE) and 1.0x (SSNE) faster in 32-row blocks on one thread, and 2.4x and
+# 2.1x faster on two, than in one piece.
+BLOCK_CELLS = 1 << 16
+
+# Steps of noise that drive draws at once (8 MB for 1000 trajectories).
+NOISE_BLOCK_STEPS = 1024
 
 
 def _philox(base_seed: int, stream_index: int) -> np.random.Generator:
@@ -85,11 +97,16 @@ def wiener_increments(
         raise DomainError("dt must be positive")
     if n_steps < 0 or n_axes < 1:
         raise DomainError("need n_steps >= 0 and n_axes >= 1")
-    if trajectory_index >= _FIELD_STREAM_BIT:
-        raise DomainError("trajectory_index out of range")
-    gen = _philox(base_seed, trajectory_index)
+    gen = _trajectory_stream(base_seed, trajectory_index)
     incr = gen.standard_normal((n_steps, n_axes)) * math.sqrt(dt)
     return NoisePath(base_seed, trajectory_index, dt, incr)
+
+
+def _trajectory_stream(base_seed: int, trajectory_index: int) -> np.random.Generator:
+    """The generator of trajectory noise stream (base_seed, trajectory_index)."""
+    if trajectory_index >= _FIELD_STREAM_BIT:
+        raise DomainError("trajectory_index out of range")
+    return _philox(base_seed, trajectory_index)
 
 
 def drive(
@@ -107,15 +124,69 @@ def drive(
     trajectory's path does not depend on which batch carries it or where.
     Step k + 1 is ``state = advance(state, dW)`` with dW the k-th increment of
     every column, and ``observe(k, state)`` sees the state after k steps, for
-    k = 0 .. n_steps in order.
+    k = 0 .. n_steps in order.  The increments are those of
+    ``wiener_increments``, drawn NOISE_BLOCK_STEPS steps at a time, so the
+    noise held in memory does not grow with n_steps.
     """
-    table = np.empty((n_steps, len(indices)))
-    for col, j in enumerate(indices):
-        table[:, col] = wiener_increments(base_seed, j, n_steps, dt).increments[:, 0]
+    if dt <= 0:
+        raise DomainError("dt must be positive")
+    if n_steps < 0:
+        raise DomainError("need n_steps >= 0")
+    streams = [_trajectory_stream(base_seed, j) for j in indices]
+    scale = math.sqrt(dt)
     observe(0, state)
-    for k in range(n_steps):
-        state = advance(state, table[k])
-        observe(k + 1, state)
+    for start in range(0, n_steps, NOISE_BLOCK_STEPS):
+        table = np.empty((min(NOISE_BLOCK_STEPS, n_steps - start), len(streams)))
+        for col, gen in enumerate(streams):
+            # a Generator's normals continue across calls, so block draws
+            # equal the rows of one whole-table draw
+            table[:, col] = gen.standard_normal(table.shape[0]) * scale
+        for k, dw in enumerate(table, start):
+            state = advance(state, dw)
+            observe(k + 1, state)
+
+
+def map_chunks(
+    run_chunk: Callable,
+    indices: Sequence[int],
+    workers: int,
+    n_cells: int | None = None,
+) -> list:
+    """run_chunk over contiguous chunks of indices, results in index order.
+
+    Grid ensembles pass n_cells, the grid size, so that no chunk holds more
+    than BLOCK_CELLS // n_cells rows; n_cells=None (Gaussian ensembles)
+    bounds nothing.  There are at least `workers` chunks, split as evenly as
+    np.array_split does.  With workers == 1 they run in a loop on the
+    calling thread, otherwise on min(workers, chunks) pool threads.  Every
+    per-row operation of the steppers is independent of the batch it runs
+    in, so the results do not depend on the chunking.  When a chunk fails
+    with a solver error, its trajectories are rerun one by one and the error
+    is raised again naming the first one that fails.
+    """
+
+    def attributed(chunk):
+        try:
+            return run_chunk(chunk)
+        except GravlabError as exc:
+            if len(chunk) == 1:
+                raise type(exc)(f"trajectory {chunk[0]}: {exc}") from exc
+            for j in chunk:
+                try:
+                    run_chunk([j])
+                except GravlabError as single:
+                    raise type(single)(f"trajectory {j}: {single}") from single
+            raise
+
+    count = workers
+    if n_cells is not None:
+        rows = max(1, BLOCK_CELLS // n_cells)
+        count = max(count, -(-len(indices) // rows))
+    chunks = [c.tolist() for c in np.array_split(np.asarray(indices), count) if c.size]
+    if workers == 1:
+        return [attributed(chunk) for chunk in chunks]
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        return list(pool.map(attributed, chunks))
 
 
 @dataclass(frozen=True)
@@ -157,6 +228,10 @@ def _k_arrays(n: int, h: float):
     if n % 2 == 0:
         kxd[n // 2] = 0.0
         kzd[-1] = 0.0
+    # cached arrays are shared by every caller and pool thread; read-only,
+    # an in-place write raises instead of corrupting them all
+    for arr in (kx, kz, k2, kxd, kzd):
+        arr.flags.writeable = False
     return kx, kz, k2, np.broadcast_to(wt, k2.shape), kxd, kzd
 
 
@@ -220,7 +295,9 @@ def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> n
         + wrap(ax[None, :, None] - cy) ** 2
         + wrap(ax[None, None, :] - cz) ** 2
     )
-    return sfft.rfftn(profile.density(r))
+    spec = sfft.rfftn(profile.density(r))
+    spec.flags.writeable = False  # cached: shared by every caller
+    return spec
 
 
 def reduce_phi_to_w(

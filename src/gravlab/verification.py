@@ -319,7 +319,6 @@ def _decay_rate(times, coherence, t_max: float) -> float:
 
 def criterion_11(workers: int = 1) -> CriterionResult:
     """Between-branch coherence decays at the dephasing rate, scaling as ell^2."""
-    del workers
     box = dict(n=2048, x_min=-40.0, x_max=40.0)
     c = _Checks()
 
@@ -327,7 +326,7 @@ def criterion_11(workers: int = 1) -> CriterionResult:
     series = {
         variant: coherence_series(
             range(1000), CatState(4.0 + 0.0j, 2.0), variant, times_2,
-            base_seed=201, **box,
+            base_seed=201, workers=workers, **box,
         )
         for variant in (Variant.GSSE, Variant.SSNE)
     }
@@ -347,14 +346,14 @@ def criterion_11(workers: int = 1) -> CriterionResult:
     rate_1 = _decay_rate(
         times_1,
         coherence_series(range(400), CatState(6.0 + 0.0j, 1.0), Variant.GSSE,
-                         times_1, base_seed=202, **box),
+                         times_1, base_seed=202, workers=workers, **box),
         1.2,
     )
     times_4 = np.round(np.arange(0.0, 0.076, 0.005), 10)
     rate_4 = _decay_rate(
         times_4,
         coherence_series(range(400), CatState(4.0 + 0.0j, 4.0), Variant.GSSE,
-                         times_4, base_seed=203, **box),
+                         times_4, base_seed=203, workers=workers, **box),
         0.075,
     )
     c.add(abs(rate_2 / rate_1 - 4.0) <= 0.8,

@@ -6,7 +6,11 @@ summary.  Heavy ensembles are cached inside the verification module, so the
 criteria sharing them (5/6 and 7/8) pay for the run once.
 """
 
+import pytest
+
 from gravlab import verification
+
+pytestmark = pytest.mark.acceptance
 
 WORKERS = 4
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gravlab import ensemble_stats as es
+from gravlab import grid_dynamics as gd
 from gravlab.errors import ContainmentError, DomainError, StatisticsError
 from gravlab.gaussian_dynamics import (
     GaussianState,
@@ -16,7 +17,7 @@ from gravlab.gaussian_dynamics import (
     step,
 )
 from gravlab.grid_dynamics import CatState
-from gravlab.noise_field import wiener_increments
+from gravlab.noise_field import BLOCK_CELLS, drive, wiener_increments
 
 GAUSS_SOLITON = dict(solver="gaussian", initial=es.InitialSpec.soliton())
 
@@ -345,6 +346,46 @@ class TestCollapseStats:
         with pytest.raises(ContainmentError, match="trajectory 0"):
             es.run_collapse_ensemble(cat, Variant.GSSE, 4, 0.01, dt=5e-4,
                                      n=256, x_min=-10.0, x_max=10.0, workers=workers)
+
+
+class TestBlocks:
+    """Grid ensembles step at most BLOCK_CELLS // n rows at once."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        seen = []
+
+        def recording(state, advance, base_seed, indices, *rest):
+            seen.append(list(indices))
+            return drive(state, advance, base_seed, indices, *rest)
+
+        monkeypatch.setattr(es, "drive", recording)
+        monkeypatch.setattr(gd, "drive", recording)
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batches_bounded_and_cover_every_trajectory(self, batches, workers):
+        n, n_traj = 512, 300  # 128 rows per block, so three blocks
+        box = dict(n=n, x_min=-10.0, x_max=10.0)
+        runs = [
+            lambda: gd.coherence_series(range(n_traj), CatState(4.0 + 0.0j, 2.0),
+                                        Variant.GSSE, [0.002], workers=workers, **box),
+            lambda: es.run_collapse_ensemble(CatState(1.5 + 0.0j, 4.0), Variant.GSSE,
+                                             n_traj, 0.002, workers=workers, **box),
+            lambda: es.run_ensemble(small_config(
+                Variant.GSSE, solver="grid", n_trajectories=n_traj, t_final=0.002,
+                grid_n=n, grid_x_min=-10.0, grid_x_max=10.0,
+            ), workers=workers),
+        ]
+        for run in runs:
+            batches.clear()
+            run()
+            assert max(map(len, batches)) <= BLOCK_CELLS // n
+            assert [j for b in sorted(batches) for j in b] == list(range(n_traj))
+
+    def test_gaussian_ensemble_is_one_batch(self, batches):
+        es.run_ensemble(small_config(Variant.GSSE, n_trajectories=300), workers=2)
+        assert batches == [list(range(300))]
 
 
 def csv_writer_reference(records, path, observables=es.OBSERVABLES):

@@ -3,6 +3,7 @@ closed-form Gaussian propagator on shared noise, norm diagnostics, branch
 bookkeeping, collapse statistics, coherence, and the nonlocal mean-field
 mode."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gravlab import gaussian_dynamics as gauss
 from gravlab.errors import ContainmentError, DomainError, StatisticsError, StepSizeError
 from gravlab.gaussian_dynamics import Variant, soliton_state
 from gravlab.model_core import Constants
-from gravlab.noise_field import wiener_increments
+from gravlab.noise_field import drive, wiener_increments
 
 BIG_BOX = dict(n=2048, x_min=-40.0, x_max=40.0)
 
@@ -265,6 +266,62 @@ class TestCoherence:
         rate = -np.polyfit(times, np.log(coh), 1)[0]
         # M omega_g^2 ell^2 / (2 hbar) = 8 in natural units
         assert abs(rate - 8.0) < 2.0
+
+    def test_repeated_times_fill_every_slot(self):
+        cat = gd.CatState(4.0 + 0.0j, 2.0)
+        box = dict(n=256, x_min=-10.0, x_max=10.0)
+        coh = gd.coherence_series(range(100), cat, Variant.GSSE, [0.002, 0.002, 0.0], **box)
+        once = gd.coherence_series(range(100), cat, Variant.GSSE, [0.002, 0.0], **box)
+        assert coh[0] == coh[1]
+        np.testing.assert_array_equal(coh[1:], once)
+
+    @pytest.mark.parametrize("variant", [Variant.GSSE, Variant.SSNE])
+    def test_bytes_independent_of_workers_and_blocks(self, variant):
+        # 300 rows of 256 cells make two or three blocks of BLOCK_CELLS
+        seeds, cat, dt = range(300), gd.CatState(4.0 + 0.0j, 2.0), 1e-3
+        box = dict(n=256, x_min=-10.0, x_max=10.0)
+        times = np.array([0.0, 0.002, 0.005])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # make pool threads interleave often
+        try:
+            runs = [
+                gd.coherence_series(seeds, cat, variant, times, dt=dt, base_seed=5,
+                                    workers=w, **box).tobytes()
+                for w in (1, 2, 3)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+        # the one-batch observer that blocking replaced
+        state = gd.init_cat(cat, **box).repeated(len(seeds))
+        ell_cells = int(round(cat.separation / state.dx_grid))
+        steps = np.round(times / dt).astype(int)
+        ref = np.empty(times.shape)
+
+        def record(k, st):
+            psi = st.amplitudes
+            seg = np.sum(np.conj(psi[:, :-ell_cells]) * psi[:, ell_cells:], axis=-1)
+            num = np.mean(seg).real * st.dx_grid
+            ref[steps == k] = num / math.sqrt(cat.weight_left * cat.weight_right)
+
+        drive(state, lambda st, dw: gd.step_quadratic(st, variant, dt, dw),
+              5, list(seeds), int(steps.max()), dt, record)
+        assert runs[0] == ref.tobytes()
+
+
+class TestCachedArrays:
+    def test_cached_arrays_are_read_only(self):
+        arrays = [
+            *gd._k_grids(256, 0.1),
+            gd._half_kinetic_factor(256, 0.1, 1e-3, 1.0, 1.0),
+            gd._dealias_mask(256, 0.1),
+            gd._soft_kernel_spectrum(256, 0.1, 1.0, 5.0),
+        ]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 class TestNonlocal:

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from gravlab import noise_field
 from gravlab.errors import DomainError, ResolutionError
 from gravlab.model_core import Constants, MassProfile, omega_g
 from gravlab.noise_field import (
     FieldGrid,
     PhiFieldSample,
+    _k_arrays,
+    _profile_spectrum,
     drive,
     reduce_phi_to_w,
     sample_phi_field,
@@ -164,6 +167,13 @@ class TestDrive:
             want = wiener_increments(21, j, 40, 0.01).increments[:, 0]
             np.testing.assert_array_equal(rows[:, col], want)
 
+    def test_blocks_of_steps_feed_the_same_rows(self, monkeypatch):
+        whole, _ = driven(21, [5, 2, 9], 40, 0.01)
+        monkeypatch.setattr(noise_field, "NOISE_BLOCK_STEPS", 7)
+        blocked, seen = driven(21, [5, 2, 9], 40, 0.01)
+        np.testing.assert_array_equal(blocked, whole)
+        assert seen == [(k, k) for k in range(41)]
+
     def test_split_batches_feed_the_same_rows(self):
         whole, _ = driven(21, [5, 2, 9], 40, 0.01)
         first, _ = driven(21, [5], 40, 0.01)
@@ -175,6 +185,19 @@ class TestDrive:
         assert seen == [(k, k) for k in range(8)]
         _, seen = driven(0, [0, 1], 0, 0.1)
         assert seen == [(0, 0)]
+
+
+class TestCachedArrays:
+    def test_cached_arrays_are_read_only(self):
+        grid = FieldGrid(16, 4.0)
+        arrays = [
+            *_k_arrays(grid.n, grid.h),
+            _profile_spectrum(MassProfile.uniform_sphere(1.0), grid, (0.0, 0.0, 0.0)),
+        ]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 class TestPhiField:
