@@ -78,6 +78,21 @@ def _dealias_mask(n: int, dx: float):
     return mask
 
 
+@functools.lru_cache(maxsize=32)
+def _dealiased_half_kinetic_factor(n: int, dx: float, dt: float, hbar: float, mass: float):
+    factor = _half_kinetic_factor(n, dx, dt, hbar, mass) * _dealias_mask(n, dx)
+    factor.flags.writeable = False
+    return factor
+
+
+@functools.lru_cache(maxsize=16)
+def _x_grids(n: int, dx: float, x0: float):
+    x = x0 + dx * np.arange(n)
+    x2 = x**2
+    x.flags.writeable = x2.flags.writeable = False
+    return x, x2
+
+
 @dataclass(frozen=True, eq=False)
 class GridState:
     """Wave function on a uniform 1D grid x_j = x0 + j dx.
@@ -100,7 +115,7 @@ class GridState:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx_grid * np.arange(self.n)
+        return _x_grids(self.n, self.dx_grid, self.x0)[0]
 
     def density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -115,8 +130,9 @@ class GridState:
     def delta_x2(self):
         rho = self.density()
         tot = np.sum(rho, axis=-1)
-        m1 = np.sum(self.x * rho, axis=-1) / tot
-        m2 = np.sum(self.x**2 * rho, axis=-1) / tot
+        x, x2 = _x_grids(self.n, self.dx_grid, self.x0)
+        m1 = np.sum(x * rho, axis=-1) / tot
+        m2 = np.sum(x2 * rho, axis=-1) / tot
         return m2 - m1**2
 
     def _spectral_weights(self):
@@ -312,11 +328,12 @@ def step_quadratic(
     # center the noise factor on the midpoint mean: pre-step centering leaves
     # a systematic O(pbar dt^2) kick per step that accumulates to dt * |int
     # pbar| once the momentum has diffused
+    x, x2 = _x_grids(state.n, state.dx_grid, state.x0)
     rho = np.abs(psi) ** 2
     tot = np.sum(rho, axis=-1)
-    xbar = np.sum(state.x * rho, axis=-1) / tot
-    dx2_mid = np.sum(state.x**2 * rho, axis=-1) / tot - xbar**2
-    xc = state.x - (xbar[..., None] if batched else xbar)
+    xbar = np.sum(x * rho, axis=-1) / tot
+    dx2_mid = np.sum(x2 * rho, axis=-1) / tot - xbar**2
+    xc = x - (xbar[..., None] if batched else xbar)
     # GSSE has a purely real exponent; the real exp path is much cheaper
     if c_loc.imag == 0.0 and s.imag == 0.0:
         exponent = c_loc.real * xc**2 * dt + s.real * xc * dw_b
@@ -376,8 +393,9 @@ def step_sne_nonlocal(
     if dt <= 0:
         raise DomainError("dt must be positive")
     _check_kinetic_resolution(dt, state.dx_grid, constants)
-    half = _half_kinetic_factor(state.n, state.dx_grid, float(dt), constants.hbar, constants.mass)
-    half = half * _dealias_mask(state.n, state.dx_grid)
+    half = _dealiased_half_kinetic_factor(
+        state.n, state.dx_grid, float(dt), constants.hbar, constants.mass
+    )
     psi = sfft.ifft(sfft.fft(state.amplitudes, axis=-1) * half, axis=-1)
     v = mean_field_potential(replace(state, amplitudes=psi), kernel)
     psi = psi * np.exp(-1j * v * dt / constants.hbar)
@@ -450,6 +468,8 @@ def coherence_series(
     if workers < 1:
         raise DomainError("workers must be >= 1")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0:
+        raise DomainError("times must list at least one time")
     steps_at = np.round(times / dt).astype(int)
     if np.any(np.abs(steps_at * dt - times) > 1e-9) or np.any(times < 0):
         raise DomainError("times must be non-negative multiples of dt")

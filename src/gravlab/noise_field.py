@@ -10,14 +10,21 @@ Three layers:
   state to an observer.  map_chunks is the one way an ensemble is split
   into such batches and spread over worker threads.
 * sample_phi_field: a real random potential on a periodic 3D grid with
-  spatial covariance G hbar / |r - s| per unit time, synthesized spectrally
-  with weights sqrt(4 pi G hbar / k^2) and the uniform mode removed.
+  spatial covariance G hbar / |r - s| per unit time, synthesized spectrally:
+  the rfftn of unit white noise per cell times one cached amplitude filter,
+  sqrt(4 pi G hbar / k^2) / h^1.5 with the uniform mode removed.
 * reduce_phi_to_w: projection of the field onto the gradient of a mass
   profile.  The resulting 3-vector has identity covariance per unit time,
   which is what the packet-level solvers consume.
 
-The reduction uses the momentum-space form of the overlap integral, so the
-sharp edge of the uniform-sphere profile never needs a real-space derivative.
+The projection is linear in the field, so it is a cached real-space filter:
+a (3, n^3) gradient filter D, built once per (profile, grid, center) from
+the momentum-space gradient i k_a f_hat (the sharp edge of the
+uniform-sphere profile never needs a real-space derivative), makes each
+reduction one dot product per axis.  Filtering the white noise and
+projecting is linear too: the kick filter G, D with the amplitude filter
+applied, takes a sample's white noise straight to its kick (sample_w), with
+no FFT per sample, and G G^T is the kick's exact covariance on the lattice.
 """
 from __future__ import annotations
 
@@ -211,16 +218,17 @@ class FieldGrid:
         return (np.arange(self.n) - self.n // 2) * self.h
 
 
-@functools.lru_cache(maxsize=8)
+# The (3, n^3) projection filters take 3 n^3 8 B each: 3.4 MB at n = 52,
+# 400 MB at n = 256.  Their caches hold two, enough for one profile and grid
+# at a time; the amplitude filter and k^2 are a sixth of that size each.
+FILTER_CACHE_SIZE = 2
+
+
+@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
 def _k_arrays(n: int, h: float):
     kx = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
     kz = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
     k2 = kx[:, None, None] ** 2 + kx[None, :, None] ** 2 + kz[None, None, :] ** 2
-    # Parseval weights for the half spectrum stored by rfftn
-    wt = np.full(kz.shape, 2.0)
-    wt[0] = 1.0
-    if n % 2 == 0:
-        wt[-1] = 1.0
     # Derivative wavenumbers: the Nyquist mode aliases +-pi/h, so the
     # band-limited derivative of a real field is zero there.
     kxd = kx.copy()
@@ -230,9 +238,23 @@ def _k_arrays(n: int, h: float):
         kzd[-1] = 0.0
     # cached arrays are shared by every caller and pool thread; read-only,
     # an in-place write raises instead of corrupting them all
-    for arr in (kx, kz, k2, kxd, kzd):
+    for arr in (k2, kxd, kzd):
         arr.flags.writeable = False
-    return kx, kz, k2, np.broadcast_to(wt, k2.shape), kxd, kzd
+    return k2, kxd, kzd
+
+
+@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
+def _amplitude_filter(n: int, h: float, G: float, hbar: float) -> np.ndarray:
+    """sample_phi_field's filter on the rfftn of unit normals per cell.
+
+    sqrt(4 pi G hbar / k^2) / h^1.5, zero at k = 0; the h^-1.5 makes each
+    normal the white noise of a cell of volume h^3.
+    """
+    k2, _, _ = _k_arrays(n, h)
+    amp = np.sqrt(4.0 * math.pi * G * hbar / np.where(k2 > 0, k2, 1.0)) / h**1.5
+    amp[0, 0, 0] = 0.0
+    amp.flags.writeable = False
+    return amp
 
 
 @dataclass(frozen=True)
@@ -245,6 +267,14 @@ class PhiFieldSample:
     base_seed: int
     sample_index: int
     constants: Constants
+
+
+def _white_noise(grid: FieldGrid, base_seed: int, sample_index: int) -> np.ndarray:
+    """Unit normals per cell of field sample (base_seed, sample_index)."""
+    if sample_index >= _FIELD_STREAM_BIT:
+        raise DomainError("sample_index out of range")
+    gen = _philox(base_seed, _FIELD_STREAM_BIT | sample_index)
+    return gen.standard_normal((grid.n,) * 3)
 
 
 def sample_phi_field(
@@ -262,21 +292,13 @@ def sample_phi_field(
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    if sample_index >= _FIELD_STREAM_BIT:
-        raise DomainError("sample_index out of range")
-    gen = _philox(base_seed, _FIELD_STREAM_BIT | sample_index)
-    h = grid.h
-    eta = gen.standard_normal((grid.n,) * 3) / h**1.5
-    spec = sfft.rfftn(eta)
-    _, _, k2, _, _, _ = _k_arrays(grid.n, h)
-    amp = np.sqrt(4.0 * math.pi * constants.G * constants.hbar / np.where(k2 > 0, k2, 1.0))
-    spec *= amp
-    spec[0, 0, 0] = 0.0
-    vals = sfft.irfftn(spec, s=(grid.n,) * 3) * math.sqrt(dt)
+    spec = sfft.rfftn(_white_noise(grid, base_seed, sample_index))
+    spec *= _amplitude_filter(grid.n, grid.h, constants.G, constants.hbar)
+    vals = sfft.irfftn(spec, s=(grid.n,) * 3, overwrite_x=True)
+    vals *= math.sqrt(dt)
     return PhiFieldSample(grid, dt, vals, base_seed, sample_index, constants)
 
 
-@functools.lru_cache(maxsize=8)
 def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
     """rfftn of the profile density sampled on the grid around `center`.
 
@@ -296,8 +318,40 @@ def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> n
         + wrap(ax[None, None, :] - cz) ** 2
     )
     spec = sfft.rfftn(profile.density(r))
-    spec.flags.writeable = False  # cached: shared by every caller
+    spec.flags.writeable = False  # the filters only read it
     return spec
+
+
+def _check_resolution(grid: FieldGrid, profile: MassProfile) -> None:
+    if grid.h > profile.char_length / MIN_CELLS_PER_LENGTH:
+        raise ResolutionError(
+            f"grid spacing {grid.h:.4f} too coarse for profile scale {profile.char_length:.4f}"
+        )
+
+
+@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
+def _gradient_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
+    """(3, n^3) real filter D with reduce_phi_to_w(field) = D @ field values.
+
+    Row a is the profile gradient sqrt(M / hbar) / omega_g h^3 (d_a f)(r -
+    center), taken spectrally as irfftn(i k_a f_hat): the sharp edge of the
+    uniform-sphere profile never needs a real-space derivative.
+    """
+    c = profile.constants
+    n = grid.n
+    fhat = _profile_spectrum(profile, grid, center)
+    _, kxd, kzd = _k_arrays(n, grid.h)
+    pref = math.sqrt(c.mass / c.hbar) / omega_g(profile) * grid.h**3
+    d = np.empty((3, n**3))
+    for row, k in zip(d, (kxd[:, None, None], kxd[None, :, None], kzd[None, None, :])):
+        grad = sfft.irfftn((1j * k) * fhat, s=(n,) * 3, overwrite_x=True)
+        np.multiply(grad.ravel(), pref, out=row)
+    d.flags.writeable = False
+    return d
+
+
+def _center_key(center) -> tuple:
+    return tuple(float(x) for x in center)
 
 
 def reduce_phi_to_w(
@@ -310,28 +364,60 @@ def reduce_phi_to_w(
     Returns the 3-vector
         w_a = sqrt(M / hbar) / omega_g * int (d_a f)(r - center) Phi(r) d^3r
     carrying the sample's sqrt(dt) scaling, i.e. a Wiener increment with
-    identity covariance per unit time.  Evaluated in momentum space where the
-    profile gradient is i k_a f_hat.
+    identity covariance per unit time.  One dot product per axis with the
+    cached gradient filter.
     """
-    grid = field.grid
-    if grid.h > profile.char_length / MIN_CELLS_PER_LENGTH:
-        raise ResolutionError(
-            f"grid spacing {grid.h:.4f} too coarse for profile scale {profile.char_length:.4f}"
-        )
-    c = profile.constants
-    fhat = _profile_spectrum(profile, grid, tuple(float(x) for x in center))
-    spec = sfft.rfftn(field.values)
-    _, _, _, wt, kxd, kzd = _k_arrays(grid.n, grid.h)
-    cross = wt * (fhat * np.conj(spec))
-    # sum_r A B h^3 = (h^3 / N^3) sum_k Ahat conj(Bhat); gradient brings i k_a
-    pref = (
-        math.sqrt(c.mass / c.hbar)
-        / omega_g(profile)
-        * grid.h**3
-        / grid.n**3
-    )
-    w = np.empty(3)
-    w[0] = pref * float(np.sum((1j * kxd[:, None, None]) * cross).real)
-    w[1] = pref * float(np.sum((1j * kxd[None, :, None]) * cross).real)
-    w[2] = pref * float(np.sum((1j * kzd[None, None, :]) * cross).real)
-    return w
+    _check_resolution(field.grid, profile)
+    d = _gradient_filter(profile, field.grid, _center_key(center))
+    return d @ field.values.ravel()
+
+
+@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
+def _kick_filter(
+    profile: MassProfile, grid: FieldGrid, center: tuple, G: float, hbar: float
+) -> np.ndarray:
+    # the amplitude filter is real and even in k, so filtering the noise and
+    # projecting equals projecting onto the filtered gradient rows
+    n = grid.n
+    d = _gradient_filter(profile, grid, center)
+    amp = _amplitude_filter(n, grid.h, G, hbar)
+    g = np.empty_like(d)
+    for row, d_row in zip(g, d):
+        spec = sfft.rfftn(d_row.reshape((n,) * 3))
+        spec *= amp
+        row[:] = sfft.irfftn(spec, s=(n,) * 3, overwrite_x=True).ravel()
+    g.flags.writeable = False
+    return g
+
+
+def kick_filter(
+    grid: FieldGrid,
+    profile: MassProfile,
+    center: tuple = (0.0, 0.0, 0.0),
+    constants: Constants = Constants(),
+) -> np.ndarray:
+    """(3, n^3) filter G from a field sample's white noise to its kick.
+
+    sample_w is sqrt(dt) G @ eta for the sample's unit normals eta, so
+    G G^T is the exact covariance of the kick per unit time on this lattice.
+    Cached and read-only.
+    """
+    _check_resolution(grid, profile)
+    return _kick_filter(profile, grid, _center_key(center), constants.G, constants.hbar)
+
+
+def sample_w(
+    grid: FieldGrid,
+    profile: MassProfile,
+    dt: float,
+    base_seed: int,
+    sample_index: int = 0,
+    center: tuple = (0.0, 0.0, 0.0),
+    constants: Constants = Constants(),
+) -> np.ndarray:
+    """reduce_phi_to_w(sample_phi_field(grid, dt, base_seed, sample_index,
+    constants), profile, center), up to round-off, without the field."""
+    if dt <= 0:
+        raise DomainError("dt must be positive")
+    g = kick_filter(grid, profile, center, constants)
+    return math.sqrt(dt) * (g @ _white_noise(grid, base_seed, sample_index).ravel())

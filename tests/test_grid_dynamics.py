@@ -275,6 +275,12 @@ class TestCoherence:
         assert coh[0] == coh[1]
         np.testing.assert_array_equal(coh[1:], once)
 
+    def test_rejects_empty_times(self):
+        cat = gd.CatState(4.0 + 0.0j, 2.0)
+        with pytest.raises(DomainError, match="times"):
+            gd.coherence_series(range(100), cat, Variant.GSSE, [],
+                                n=256, x_min=-10.0, x_max=10.0)
+
     @pytest.mark.parametrize("variant", [Variant.GSSE, Variant.SSNE])
     def test_bytes_independent_of_workers_and_blocks(self, variant):
         # 300 rows of 256 cells make two or three blocks of BLOCK_CELLS
@@ -322,6 +328,21 @@ class TestCachedArrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0.0
+
+
+    def test_position_and_dealiased_kinetic_caches(self):
+        x, x2 = gd._x_grids(256, 0.1, -12.8)
+        half = gd._dealiased_half_kinetic_factor(256, 0.1, 1e-3, 1.0, 1.0)
+        for arr in (x, x2, half):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        # the cached arrays are the bytes of the per-call expressions
+        assert x.tobytes() == (-12.8 + 0.1 * np.arange(256)).tobytes()
+        assert x2.tobytes() == (x.copy() ** 2).tobytes()
+        product = gd._half_kinetic_factor(256, 0.1, 1e-3, 1.0, 1.0) * gd._dealias_mask(256, 0.1)
+        assert half.tobytes() == product.tobytes()
+        assert gd.GridState(np.zeros(256, complex), 0.1, -12.8).x is x
 
 
 class TestNonlocal:

@@ -333,3 +333,112 @@ class TestReduceToW:
         g = FieldGrid(32, 6.0)  # h = 0.1875, needs sigma >= 1.5
         with pytest.raises(ResolutionError):
             reduce_phi_to_w(sample_phi_field(g, 1.0, 1), MassProfile.gaussian_ball(0.75))
+
+
+def reduced_w_half_spectrum(field, profile, center=(0.0, 0.0, 0.0)):
+    """The reduction as a weighted sum over the rfftn half spectrum.
+
+    This is the spectral form the cached gradient filter replaced: Parseval
+    weights 2 for the interior kz planes and 1 for kz = 0 and Nyquist,
+    derivative wavenumbers with Nyquist zeroed.
+    """
+    c = profile.constants
+    grid = field.grid
+    n, h, box = grid.n, grid.h, grid.box
+    ax = grid.axis()
+
+    def wrap(d):
+        return (d + 0.5 * box) % box - 0.5 * box
+
+    r = np.sqrt(
+        wrap(ax[:, None, None] - center[0]) ** 2
+        + wrap(ax[None, :, None] - center[1]) ** 2
+        + wrap(ax[None, None, :] - center[2]) ** 2
+    )
+    fhat = sfft.rfftn(profile.density(r))
+    spec = sfft.rfftn(field.values)
+    kx = spectral_deriv_k(n, h)
+    kz = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
+    wt = np.full(kz.shape, 2.0)
+    wt[0] = 1.0
+    if n % 2 == 0:
+        kz[-1] = 0.0
+        wt[-1] = 1.0
+    cross = wt * fhat * np.conj(spec)
+    pref = math.sqrt(c.mass / c.hbar) / omega_g(profile) * h**3 / n**3
+    ks = (kx[:, None, None], kx[None, :, None], kz[None, None, :])
+    return pref * np.array([float(np.sum(1j * k * cross).real) for k in ks])
+
+
+def assert_relative(w, ref, rel):
+    assert np.max(np.abs(w - ref)) <= rel * np.max(np.abs(ref))
+
+
+OFF_CENTER_BALL = (FieldGrid(32, 6.0), MassProfile.gaussian_ball(1.6), (0.9, -0.4, 0.25))
+CENTERED_SPHERE = (FieldGrid(52, 6.2), MassProfile.uniform_sphere(1.0), (0.0, 0.0, 0.0))
+
+
+class TestFilters:
+    @pytest.mark.parametrize("grid, profile, center", [OFF_CENTER_BALL, CENTERED_SPHERE])
+    def test_reduction_matches_half_spectrum_sum(self, grid, profile, center):
+        for i in range(3):
+            f = sample_phi_field(grid, 0.5, 8, i)
+            assert_relative(reduce_phi_to_w(f, profile, center),
+                            reduced_w_half_spectrum(f, profile, center), 1e-13)
+
+    @pytest.mark.parametrize("grid, profile, center, constants", [
+        (*OFF_CENTER_BALL, Constants()),
+        (*CENTERED_SPHERE, Constants()),
+        # the field's G and hbar drive the noise, the profile's the projection
+        (FieldGrid(32, 6.0), MassProfile.gaussian_ball(1.6, Constants(hbar=0.7, mass=3.0)),
+         (0.0, 0.0, 0.0), Constants(G=2.5, hbar=0.7)),
+    ])
+    def test_sample_w_equals_reduced_field(self, grid, profile, center, constants):
+        for i in (0, 1, 7, 1000):
+            w = noise_field.sample_w(grid, profile, 0.3, 1618, i, center, constants)
+            field = sample_phi_field(grid, 0.3, 1618, i, constants)
+            assert_relative(w, reduce_phi_to_w(field, profile, center), 1e-13)
+
+    def test_kick_covariance_is_the_exact_lattice_covariance(self):
+        grid, prof, _ = CENTERED_SPHERE
+        g = noise_field.kick_filter(grid, prof)
+        expect = reduced_w_expected_cov(prof, grid)
+        np.testing.assert_allclose(g @ g.T, np.diag(expect), rtol=0.0, atol=1e-10)
+
+    def test_sample_w_guards(self):
+        grid = FieldGrid(32, 6.0)  # h = 0.1875, needs sigma >= 1.5
+        with pytest.raises(ResolutionError):
+            noise_field.sample_w(grid, MassProfile.gaussian_ball(0.75), 1.0, 1)
+        with pytest.raises(ResolutionError):
+            noise_field.kick_filter(grid, MassProfile.gaussian_ball(0.75))
+        prof = MassProfile.gaussian_ball(1.6)
+        with pytest.raises(DomainError):
+            noise_field.sample_w(grid, prof, 0.0, 1)
+        with pytest.raises(DomainError):
+            noise_field.sample_w(grid, prof, 0.1, -1)
+        with pytest.raises(DomainError):
+            noise_field.sample_w(grid, prof, 0.1, 1, 1 << 63)
+
+
+class TestFilterCaches:
+    def test_filters_are_cached_read_only_and_few(self):
+        grid, prof, center = OFF_CENTER_BALL
+        c = Constants()
+        caches = {
+            noise_field._k_arrays: (grid.n, grid.h),
+            noise_field._amplitude_filter: (grid.n, grid.h, c.G, c.hbar),
+            noise_field._gradient_filter: (prof, grid, center),
+            noise_field._kick_filter: (prof, grid, center, c.G, c.hbar),
+        }
+        for cached, args in caches.items():
+            # each (3, n^3) filter is 3 n^3 8 B: 400 MB at n = 256
+            assert cached.cache_info().maxsize <= 2
+            first, again = cached(*args), cached(*args)
+            assert first is again
+            for arr in (first if isinstance(first, tuple) else (first,)):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+        assert noise_field.kick_filter(grid, prof, center) is noise_field._kick_filter(
+            prof, grid, center, c.G, c.hbar)
+        assert noise_field._gradient_filter(prof, grid, center).shape == (3, grid.n**3)
