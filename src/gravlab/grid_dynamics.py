@@ -7,7 +7,8 @@ decoherence observables.
 
 One Ito step of the quadratic dynamics is Strang-split:
 
-    half kinetic (Fourier)  ->  local factor  ->  half kinetic  ->  renormalize
+    half kinetic (Fourier)  ->  floor clipping  ->  local factor
+    ->  renormalize  ->  half kinetic
 
 with the local factor exp[-(alpha M omega^2 / 2 hbar + s^2/2) x_c^2 dt
 + s x_c dW], x_c = x - <x> centered on the midpoint mean (after the first
@@ -17,15 +18,25 @@ pre-renormalization norm deviation per step has zero mean and O(dt) size,
 and Gaussian initial data reproduce the closed-form moment flow on shared
 noise paths.
 
+Amplitudes below FLOOR_FRACTION of the peak are zeroed at the midpoint,
+just before the noisy local factor that would otherwise grow them.  The
+kinetic factor is unitary, so the norm is read right after the local
+factor, and the renormalization is folded into the trailing kinetic factor
+in Fourier space.  That spectrum is kept in GridState.spectrum (the FFT of
+the returned amplitudes), and the next step starts from it: a step costs
+three FFTs (inverse, forward, inverse) instead of four, and every step
+still hands its observer the real-space amplitudes.
+
 A deterministic nonlocal mode evolves the mean-field dynamics with a
 softened attractive kernel; that update is exactly unitary on the grid, so
-the norm is preserved to machine precision without renormalization.
+the norm is preserved to machine precision without renormalization.  It
+carries its spectrum the same way.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -101,13 +112,16 @@ class GridState:
     ensemble; all moment accessors reduce over the last axis.  States are
     kept L2-normalized (sum |psi|^2 dx = 1) by the quadratic stepper; the
     pre-renormalization mismatch of the latest step is kept in
-    norm_deviation as a solver diagnostic.
+    norm_deviation as a solver diagnostic.  spectrum, set only by the
+    steppers, is the FFT of amplitudes along the last axis; the next step
+    and the momentum-space moments start from it instead of a new FFT.
     """
 
     amplitudes: np.ndarray
     dx_grid: float
     x0: float
     norm_deviation: float | np.ndarray = 0.0
+    spectrum: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -135,33 +149,38 @@ class GridState:
         m2 = np.sum(x2 * rho, axis=-1) / tot
         return m2 - m1**2
 
+    def _fourier(self) -> np.ndarray:
+        """FFT of the amplitudes along the last axis (the carried spectrum)."""
+        if self.spectrum is not None:
+            return self.spectrum
+        return sfft.fft(self.amplitudes, axis=-1)
+
     def _spectral_weights(self):
-        ph = sfft.fft(self.amplitudes, axis=-1)
-        w = np.abs(ph) ** 2
-        return ph, w, np.sum(w, axis=-1)
+        w = np.abs(self._fourier()) ** 2
+        return w, np.sum(w, axis=-1)
 
     def mean_p(self, constants: Constants = Constants()):
         _, kd = _k_grids(self.n, self.dx_grid)
-        _, w, tot = self._spectral_weights()
+        w, tot = self._spectral_weights()
         return constants.hbar * np.sum(kd * w, axis=-1) / tot
 
     def delta_p2(self, constants: Constants = Constants()):
         k, kd = _k_grids(self.n, self.dx_grid)
-        _, w, tot = self._spectral_weights()
+        w, tot = self._spectral_weights()
         m1 = np.sum(kd * w, axis=-1) / tot
         m2 = np.sum(k**2 * w, axis=-1) / tot
         return constants.hbar**2 * (m2 - m1**2)
 
     def kinetic_energy(self, constants: Constants = Constants()):
         k, _ = _k_grids(self.n, self.dx_grid)
-        _, w, tot = self._spectral_weights()
+        w, tot = self._spectral_weights()
         return constants.hbar**2 * np.sum(k**2 * w, axis=-1) / tot / (2.0 * constants.mass)
 
     def correlation_xp(self, constants: Constants = Constants()):
         """Symmetrized covariance <xp + px>/2 - <x><p>."""
         _, kd = _k_grids(self.n, self.dx_grid)
         psi = self.amplitudes
-        dpsi = sfft.ifft(1j * kd * sfft.fft(psi, axis=-1), axis=-1)
+        dpsi = sfft.ifft(1j * kd * self._fourier(), axis=-1)
         xc = self.x - self.mean_x()[..., None] if psi.ndim > 1 else self.x - self.mean_x()
         raw = np.sum(np.conj(psi) * xc * (-1j * constants.hbar) * dpsi, axis=-1).real
         tot = np.sum(np.abs(psi) ** 2, axis=-1)
@@ -171,11 +190,6 @@ class GridState:
         """A batch of `rows` independent copies of this single state."""
         amps = np.broadcast_to(self.amplitudes, (rows, self.n)).copy()
         return GridState(amps, self.dx_grid, self.x0)
-
-    def renormalized(self) -> "GridState":
-        nrm = self.norm()
-        scale = nrm[..., None] if self.amplitudes.ndim > 1 else nrm
-        return replace(self, amplitudes=self.amplitudes / scale, norm_deviation=nrm - 1.0)
 
 
 @dataclass(frozen=True)
@@ -281,9 +295,27 @@ def init_cat(
     return GridState(psi.astype(complex), dx, x_min)
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    out = np.square(z.real)
+    out += np.square(z.imag)
+    return out
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    # sum over the last axis in one pass with no temporary; einsum's
+    # per-row sum is the same bytes for a row alone or inside any batch
+    return np.einsum("...j,...j->...", a, b)
+
+
+def _norm(psi: np.ndarray, dx: float):
+    flat = psi.view(np.float64)  # (re, im) pairs: sum of squares is sum |psi|^2
+    return np.sqrt(_rowdot(flat, flat) * dx)
+
+
 def _check_contained(psi: np.ndarray):
-    edge = max(np.max(np.abs(psi[..., 0])), np.max(np.abs(psi[..., -1])))
-    if edge > CONTAINMENT_TOL:
+    # np.max propagates NaN, and a NaN edge fails the <= test
+    edge = np.max(np.abs(psi[..., [0, -1]]))
+    if not edge <= CONTAINMENT_TOL:
         raise ContainmentError(
             f"edge amplitude {edge:.2e} exceeds {CONTAINMENT_TOL:.0e}; enlarge the box"
         )
@@ -307,7 +339,8 @@ def step_quadratic(
 
     dW is scalar for a single state or shape (batch,) for batched states.
     The returned state is renormalized; its norm_deviation records the
-    pre-renormalization mismatch.
+    pre-renormalization mismatch, and its spectrum is the FFT of its
+    amplitudes, which the next step starts from.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -324,36 +357,49 @@ def step_quadratic(
     dw_b = dw[..., None] if batched else dw
 
     half = _half_kinetic_factor(state.n, state.dx_grid, float(dt), hbar, m)
-    psi = sfft.ifft(sfft.fft(state.amplitudes, axis=-1) * half, axis=-1)
+    psi = sfft.ifft(state._fourier() * half, axis=-1, overwrite_x=True)
+    rho = _abs2(psi)
     # center the noise factor on the midpoint mean: pre-step centering leaves
     # a systematic O(pbar dt^2) kick per step that accumulates to dt * |int
     # pbar| once the momentum has diffused
     x, x2 = _x_grids(state.n, state.dx_grid, state.x0)
-    rho = np.abs(psi) ** 2
     tot = np.sum(rho, axis=-1)
-    xbar = np.sum(x * rho, axis=-1) / tot
-    dx2_mid = np.sum(x2 * rho, axis=-1) / tot - xbar**2
+    xbar = _rowdot(rho, x) / tot
+    dx2_mid = _rowdot(rho, x2) / tot - xbar**2
     xc = x - (xbar[..., None] if batched else xbar)
-    # GSSE has a purely real exponent; the real exp path is much cheaper
+    # exponent (c_loc dt xc + s dW) xc and its exp in one array; GSSE has a
+    # purely real exponent, and the real exp path is much cheaper
     if c_loc.imag == 0.0 and s.imag == 0.0:
-        exponent = c_loc.real * xc**2 * dt + s.real * xc * dw_b
+        factor = xc * (c_loc.real * dt)
+        factor += s.real * dw_b
     else:
-        exponent = c_loc * xc**2 * dt + s * xc * dw_b
-    psi = psi * np.exp(exponent)
-    psi = sfft.ifft(sfft.fft(psi, axis=-1) * half, axis=-1)
+        factor = xc * (c_loc * dt)
+        factor += s * dw_b
+    factor *= xc
+    np.exp(factor, out=factor)
+    # floor clipping right before the noisy factor, which is what would grow
+    # the floor: the factor is zeroed where |psi| < FLOOR_FRACTION * peak,
+    # i.e. where rho < FLOOR_FRACTION^2 * max rho (nowhere if rho has a NaN)
+    floor = FLOOR_FRACTION**2 * np.max(rho, axis=-1)
+    factor *= ~(rho < (floor[..., None] if batched else floor))
+    psi *= factor
 
-    nrm = np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1) * state.dx_grid)
+    # the trailing half kinetic factor is unitary, so the norm is read here
+    nrm = _norm(psi, state.dx_grid)
     deviation = nrm - 1.0
-    # realized-noise bound: the leading deviation is s^2 (dW^2 - dt) 2 Dx^2
+    # realized-noise bound: the leading deviation is s^2 (dW^2 - dt) 2 Dx^2;
+    # written so that a NaN deviation fails it
     bound = 10.0 * (2.0 * abs(s) ** 2 * dx2_mid * (dw**2 + dt)) + 1e-9
-    if np.any(np.abs(deviation) > bound):
-        raise StepSizeError("pre-renormalization norm deviation too large; reduce dt")
-    psi = psi / (nrm[..., None] if batched else nrm)
-    mag = np.abs(psi)
-    floor = FLOOR_FRACTION * np.max(mag, axis=-1)
-    psi = np.where(mag < (floor[..., None] if batched else floor), 0.0, psi)
+    if not np.all(np.abs(deviation) <= bound):
+        raise StepSizeError(
+            "pre-renormalization norm deviation too large or not finite; reduce dt"
+        )
+    spectrum = sfft.fft(psi, axis=-1, overwrite_x=True)
+    spectrum *= half
+    spectrum *= 1.0 / (nrm[..., None] if batched else nrm)
+    psi = sfft.ifft(spectrum, axis=-1)
     _check_contained(psi)
-    return GridState(psi, state.dx_grid, state.x0, deviation)
+    return GridState(psi, state.dx_grid, state.x0, deviation, spectrum)
 
 
 @functools.lru_cache(maxsize=16)
@@ -367,14 +413,12 @@ def _soft_kernel_spectrum(n: int, dx: float, a_soft: float, strength: float):
     return spec
 
 
-def mean_field_potential(state: GridState, kernel: SoftKernelSpec) -> np.ndarray:
-    """V(x) = int K_soft(x - y) |psi(y)|^2 dy on the grid."""
-    n = state.n
-    dens = state.density() * state.dx_grid
-    pad_shape = dens.shape[:-1] + (2 * n,)
-    padded = np.zeros(pad_shape)
-    padded[..., :n] = dens
-    spec = _soft_kernel_spectrum(n, state.dx_grid, kernel.a_soft, kernel.strength)
+def mean_field_potential(rho: np.ndarray, dx: float, kernel: SoftKernelSpec) -> np.ndarray:
+    """V(x) = int K_soft(x - y) rho(y) dy on the grid, rho = |psi|^2."""
+    n = rho.shape[-1]
+    padded = np.zeros(rho.shape[:-1] + (2 * n,))
+    np.multiply(rho, dx, out=padded[..., :n])
+    spec = _soft_kernel_spectrum(n, dx, kernel.a_soft, kernel.strength)
     return sfft.irfft(sfft.rfft(padded, axis=-1) * spec, axis=-1)[..., :n]
 
 
@@ -389,6 +433,8 @@ def step_sne_nonlocal(
     Strang split: half kinetic, full potential phase with V built from the
     current density (|psi| is constant during the phase substep, so this is
     self-consistent), half kinetic.  Exactly unitary; no renormalization.
+    Like step_quadratic it starts from the carried spectrum and returns the
+    new one.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -396,16 +442,18 @@ def step_sne_nonlocal(
     half = _dealiased_half_kinetic_factor(
         state.n, state.dx_grid, float(dt), constants.hbar, constants.mass
     )
-    psi = sfft.ifft(sfft.fft(state.amplitudes, axis=-1) * half, axis=-1)
-    v = mean_field_potential(replace(state, amplitudes=psi), kernel)
-    psi = psi * np.exp(-1j * v * dt / constants.hbar)
-    psi = sfft.ifft(sfft.fft(psi, axis=-1) * half, axis=-1)
-    nrm = np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1) * state.dx_grid)
-    deviation = nrm - 1.0
-    if np.any(np.abs(deviation) > 1e-9):
-        raise StepSizeError("unitary step lost the norm; reduce dt")
+    psi = sfft.ifft(state._fourier() * half, axis=-1, overwrite_x=True)
+    v = mean_field_potential(_abs2(psi), state.dx_grid, kernel)
+    psi *= np.exp(1j * (v * (-dt / constants.hbar)))
+    spectrum = sfft.fft(psi, axis=-1, overwrite_x=True)
+    spectrum *= half
+    psi = sfft.ifft(spectrum, axis=-1)
+    deviation = _norm(psi, state.dx_grid) - 1.0
+    # written so that a NaN deviation fails it
+    if not np.all(np.abs(deviation) <= 1e-9):
+        raise StepSizeError("unitary step lost the norm or is not finite; reduce dt")
     _check_contained(psi)
-    return GridState(psi, state.dx_grid, state.x0, deviation)
+    return GridState(psi, state.dx_grid, state.x0, deviation, spectrum)
 
 
 def separation_series(

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from gravlab import ensemble_stats as es
 from gravlab import grid_dynamics as gd
@@ -350,7 +351,7 @@ class TestNonlocal:
 
     def test_potential_matches_direct_convolution(self):
         st = gd.init_cat(gd.CatState(1.1 + 0.0j, 5.0), n=512, x_min=-20.0, x_max=20.0)
-        v = gd.mean_field_potential(st, self.kernel)
+        v = gd.mean_field_potential(st.density(), st.dx_grid, self.kernel)
         x = st.x
         dens = st.density() * st.dx_grid
         direct = np.array(
@@ -410,3 +411,128 @@ class TestNonlocal:
         st = gd.init_gaussian(0.0, 0.0, 0.5 + 0.0j)
         with pytest.raises(DomainError):
             gd.step_sne_nonlocal(st, self.kernel, -1e-3)
+
+
+def reference_step_quadratic(state, variant, dt, dw, constants=Constants(), omega=1.0):
+    """The four-FFT step with end-of-step floor clipping that the carried
+    spectrum replaced, without its guards."""
+    m, hbar = constants.mass, constants.hbar
+    alpha, s = gauss.variant_coefficients(variant, constants, omega)
+    c_loc = -(alpha * m * omega**2 / (2.0 * hbar) + 0.5 * s * s)
+    half = gd._half_kinetic_factor(state.n, state.dx_grid, float(dt), hbar, m)
+    x, x2 = gd._x_grids(state.n, state.dx_grid, state.x0)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    psi = ifft(fft(state.amplitudes) * half)
+    rho = np.abs(psi) ** 2
+    xc = x - np.sum(x * rho) / np.sum(rho)
+    psi = psi * np.exp(c_loc * xc**2 * dt + s * xc * dw)
+    psi = ifft(fft(psi) * half)
+    nrm = np.sqrt(np.sum(np.abs(psi) ** 2) * state.dx_grid)
+    psi = psi / nrm
+    mag = np.abs(psi)
+    psi = np.where(mag < gd.FLOOR_FRACTION * np.max(mag), 0.0, psi)
+    return gd.GridState(psi, state.dx_grid, state.x0, nrm - 1.0)
+
+
+def stepped(state, advance, dws):
+    for dw in dws:
+        state = advance(state, dw)
+    return state
+
+
+class TestCarriedSpectrum:
+    dt = 1e-3
+
+    def start(self, rows=None):
+        st = gd.init_gaussian(0.2, -0.3, 0.8 - 0.1j)
+        return st if rows is None else st.repeated(rows)
+
+    @pytest.mark.parametrize("rows", [None, 4])
+    @pytest.mark.parametrize("variant", [Variant.GSSE, Variant.SSNE, Variant.SNE])
+    def test_spectrum_is_fft_of_amplitudes(self, variant, rows):
+        dws = noise_table(3, rows or 1, 50, self.dt)
+        if rows is None:
+            dws = dws[:, 0]
+        st = stepped(self.start(rows),
+                     lambda st, dw: gd.step_quadratic(st, variant, self.dt, dw), dws)
+        spec = st.spectrum
+        assert spec is not None and spec.shape == st.amplitudes.shape
+        fresh = sfft.fft(st.amplitudes, axis=-1)
+        assert np.max(np.abs(spec - fresh)) <= 1e-12 * np.max(np.abs(spec))
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_nonlocal_spectrum_is_fft_of_amplitudes(self, rows):
+        kernel = gd.SoftKernelSpec(1.0, 5.0)
+        st = gd.init_cat(gd.CatState(1.1 + 0.0j, 5.0), **BIG_BOX)
+        st = st if rows is None else st.repeated(rows)
+        st = stepped(st, lambda st, _: gd.step_sne_nonlocal(st, kernel, self.dt), range(50))
+        fresh = sfft.fft(st.amplitudes, axis=-1)
+        assert np.max(np.abs(st.spectrum - fresh)) <= 1e-12 * np.max(np.abs(st.spectrum))
+
+    @pytest.mark.parametrize("variant", [Variant.GSSE, Variant.SSNE])
+    def test_batch_blocks_and_singles_equal_over_many_steps(self, variant):
+        params = [(0.3 * i - 1.0, 0.2 * i - 0.5, 0.7 + 0.1j * (i - 3)) for i in range(7)]
+        singles = [gd.init_gaussian(*p) for p in params]
+        amps = np.stack([s.amplitudes for s in singles])
+        dws = noise_table(19, 7, 30, self.dt)
+
+        def advance(st, dw):
+            return gd.step_quadratic(st, variant, self.dt, dw)
+
+        def run(rows):
+            st = gd.GridState(amps[rows].copy(), singles[0].dx_grid, singles[0].x0)
+            return stepped(st, advance, dws[:, rows])
+
+        whole = run(slice(0, 7))
+        blocks = [run(slice(0, 3)), run(slice(3, 7))]
+        for field in ("amplitudes", "spectrum"):
+            ref = getattr(whole, field)
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(b, field) for b in blocks]), ref)
+            for i, st in enumerate(singles):
+                one = stepped(st, advance, dws[:, i])
+                np.testing.assert_array_equal(getattr(one, field), ref[i])
+
+    @pytest.mark.parametrize("variant", [Variant.GSSE, Variant.SSNE, Variant.SNE])
+    def test_agrees_with_four_fft_reference(self, variant):
+        dws = noise_table(29, 1, 200, self.dt)[:, 0]
+        if variant is Variant.SNE:
+            dws = np.zeros_like(dws)
+        new = stepped(self.start(),
+                      lambda st, dw: gd.step_quadratic(st, variant, self.dt, dw), dws)
+        ref = stepped(self.start(),
+                      lambda st, dw: reference_step_quadratic(st, variant, self.dt, dw), dws)
+        assert np.max(np.abs(new.amplitudes - ref.amplitudes)) < 1e-11
+        assert abs(float(new.norm_deviation) - float(ref.norm_deviation)) < 1e-11
+
+    def test_moments_from_spectrum_match_fresh_state(self):
+        dws = noise_table(31, 3, 20, self.dt)
+        st = stepped(self.start(3),
+                     lambda st, dw: gd.step_quadratic(st, Variant.SSNE, self.dt, dw), dws)
+        fresh = gd.GridState(st.amplitudes, st.dx_grid, st.x0)
+        assert fresh.spectrum is None
+        for moment in ("mean_p", "kinetic_energy", "delta_p2", "correlation_xp"):
+            np.testing.assert_allclose(getattr(st, moment)(), getattr(fresh, moment)(),
+                                       rtol=0, atol=1e-12)
+
+
+class TestNonFiniteGuards:
+    def nan_state(self):
+        st = gd.init_gaussian(0.0, 0.0, soliton_state(Variant.SNE).a)
+        amps = st.amplitudes.copy()
+        amps[500] = np.nan
+        return gd.GridState(amps, st.dx_grid, st.x0)
+
+    def test_quadratic_step_rejects_nan(self):
+        with pytest.raises(StepSizeError, match="not finite"):
+            gd.step_quadratic(self.nan_state(), Variant.GSSE, 1e-3, 0.01)
+
+    def test_nonlocal_step_rejects_nan(self):
+        with pytest.raises(StepSizeError, match="not finite"):
+            gd.step_sne_nonlocal(self.nan_state(), gd.SoftKernelSpec(1.0, 5.0), 1e-3)
+
+    def test_nan_edge_is_not_contained(self):
+        psi = np.zeros((2, 64), complex)
+        psi[1, -1] = np.nan
+        with pytest.raises(ContainmentError):
+            gd._check_contained(psi)
