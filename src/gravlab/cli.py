@@ -41,6 +41,7 @@ from .grid_dynamics import (
     coherence_series,
     init_cat,
     init_gaussian,
+    make_axis,
     separation_series,
     step_quadratic,
 )
@@ -54,6 +55,9 @@ from .model_core import (
 
 UNITS = "hbar = mass = omega_g = 1"
 COLLAPSE_THRESHOLD = 0.99
+# position grids of the cat studies
+COLLAPSE_GRID = {"n": 1024, "x_min": -40.0, "x_max": 40.0}
+COHERENCE_GRID = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
 ATTRACT_KERNEL = SoftKernelSpec(1.0, 5.0)
 
 # every settings key a config file may set, with its parser
@@ -351,6 +355,12 @@ def _run_ke_rate(settings: dict) -> int:
     return 0
 
 
+def _separation_used(cat: CatState, grid: dict) -> float:
+    """The separation the cat observers use: whole cells of the grid."""
+    dx = make_axis(**grid)[1]
+    return cat.separation_cells(dx) * dx
+
+
 def _run_cat(settings: dict) -> int:
     out = settings["out_dir"]
     summary = out / "cat_summary.json"
@@ -359,7 +369,7 @@ def _run_cat(settings: dict) -> int:
         records = run_collapse_ensemble(
             cat, settings["variant"], settings["trajectories"],
             settings["t_final"], dt=settings["dt"], base_seed=settings["seed"],
-            workers=settings["workers"],
+            workers=settings["workers"], **COLLAPSE_GRID,
         )
         stats = collapse_time_stats(records, threshold=COLLAPSE_THRESHOLD)
         table = out / "cat_weights.csv"
@@ -370,7 +380,8 @@ def _run_cat(settings: dict) -> int:
             [stats], summary,
             metadata=_metadata(settings, study="collapse",
                                separation=settings["separation"],
-                               threshold=COLLAPSE_THRESHOLD),
+                               separation_used=_separation_used(cat, COLLAPSE_GRID),
+                               grid=COLLAPSE_GRID, threshold=COLLAPSE_THRESHOLD),
         )
         print(f"{stats.name} = {stats.estimate:.6f}")
     else:
@@ -380,8 +391,8 @@ def _run_cat(settings: dict) -> int:
         times = sample_steps * settings["dt"]
         coherence = coherence_series(
             range(settings["trajectories"]), cat, settings["variant"], times,
-            dt=settings["dt"], base_seed=settings["seed"], n=2048,
-            x_min=-40.0, x_max=40.0, workers=settings["workers"],
+            dt=settings["dt"], base_seed=settings["seed"],
+            workers=settings["workers"], **COHERENCE_GRID,
         )
         rate = float(-np.polyfit(times, np.log(coherence), 1)[0])
         table = out / "cat_coherence.csv"
@@ -391,7 +402,8 @@ def _run_cat(settings: dict) -> int:
             "schema_version": SCHEMA_VERSION,
             "metadata": _metadata(settings, study="coherence",
                                   separation=settings["separation"],
-                                  grid={"n": 2048, "x_min": -40.0, "x_max": 40.0}),
+                                  separation_used=_separation_used(cat, COHERENCE_GRID),
+                                  grid=COHERENCE_GRID),
             "decay_rate": rate,
         })
         print(f"coherence decay rate = {rate:.6f}")

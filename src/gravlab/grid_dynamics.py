@@ -132,7 +132,7 @@ class GridState:
         return _x_grids(self.n, self.dx_grid, self.x0)[0]
 
     def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return _abs2(self.amplitudes)
 
     def norm(self):
         return np.sqrt(np.sum(self.density(), axis=-1) * self.dx_grid)
@@ -156,7 +156,7 @@ class GridState:
         return sfft.fft(self.amplitudes, axis=-1)
 
     def _spectral_weights(self):
-        w = np.abs(self._fourier()) ** 2
+        w = _abs2(self._fourier())
         return w, np.sum(w, axis=-1)
 
     def mean_p(self, constants: Constants = Constants()):
@@ -183,7 +183,7 @@ class GridState:
         dpsi = sfft.ifft(1j * kd * self._fourier(), axis=-1)
         xc = self.x - self.mean_x()[..., None] if psi.ndim > 1 else self.x - self.mean_x()
         raw = np.sum(np.conj(psi) * xc * (-1j * constants.hbar) * dpsi, axis=-1).real
-        tot = np.sum(np.abs(psi) ** 2, axis=-1)
+        tot = np.sum(_abs2(psi), axis=-1)
         return raw / tot
 
     def repeated(self, rows: int) -> "GridState":
@@ -218,6 +218,17 @@ class CatState:
     @property
     def packet_delta_x(self) -> float:
         return math.sqrt(1.0 / (4.0 * np.real(self.a0)))
+
+    def separation_cells(self, dx: float) -> int:
+        """The separation in whole cells of a grid with spacing dx.
+
+        Grid observers shift by whole cells, so the separation they use is
+        this times dx, the nearest multiple of dx; the CLI reports it.
+        """
+        cells = int(round(self.separation / dx))
+        if cells < 1:
+            raise DomainError(f"separation {self.separation} is under half a cell of {dx}")
+        return cells
 
 
 @dataclass(frozen=True)
@@ -525,7 +536,7 @@ def coherence_series(
     lookup = {int(k): i for i, k in enumerate(steps)}
 
     start = init_cat(cat, n, x_min, x_max, constants)
-    ell_cells = int(round(cat.separation / start.dx_grid))
+    ell_cells = cat.separation_cells(start.dx_grid)
 
     def run_chunk(indices):
         seg = np.empty((steps.size, len(indices)), dtype=complex)
@@ -562,7 +573,7 @@ def branch_split_weights(state: GridState, cat: CatState) -> np.ndarray:
     Returns an array for a batched state and a float for a single one.
     """
     rho = np.atleast_2d(state.density())
-    ell_cells = int(round(cat.separation / state.dx_grid))
+    ell_cells = cat.separation_cells(state.dx_grid)
     n = rho.shape[-1]
     rows = np.arange(rho.shape[0])
     i_peak = np.argmax(rho, axis=-1)

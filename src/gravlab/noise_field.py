@@ -10,21 +10,22 @@ Three layers:
   state to an observer.  map_chunks is the one way an ensemble is split
   into such batches and spread over worker threads.
 * sample_phi_field: a real random potential on a periodic 3D grid with
-  spatial covariance G hbar / |r - s| per unit time, synthesized spectrally:
-  the rfftn of unit white noise per cell times one cached amplitude filter,
-  sqrt(4 pi G hbar / k^2) / h^1.5 with the uniform mode removed.
+  spatial covariance G hbar / |r - s| per unit time.  A sample carries its
+  unit white noise per cell, eta; the field itself is synthesized
+  spectrally on the first read of .values: the rfftn of eta times one
+  cached amplitude filter, sqrt(4 pi G hbar / k^2) / h^1.5 with the uniform
+  mode removed.
 * reduce_phi_to_w: projection of the field onto the gradient of a mass
   profile.  The resulting 3-vector has identity covariance per unit time,
   which is what the packet-level solvers consume.
 
-The projection is linear in the field, so it is a cached real-space filter:
-a (3, n^3) gradient filter D, built once per (profile, grid, center) from
-the momentum-space gradient i k_a f_hat (the sharp edge of the
-uniform-sphere profile never needs a real-space derivative), makes each
-reduction one dot product per axis.  Filtering the white noise and
-projecting is linear too: the kick filter G, D with the amplitude filter
-applied, takes a sample's white noise straight to its kick (sample_w), with
-no FFT per sample, and G G^T is the kick's exact covariance on the lattice.
+The projection is linear in the field, and so is filtering the white noise,
+so the kick has one path: the kick filter G, a cached (3, n^3) real array
+built from the momentum-space gradient i k_a amp f_hat (the sharp edge of
+the uniform-sphere profile never needs a real-space derivative), takes a
+sample's eta to its kick with one dot product per axis and no FFT, and
+G G^T is the kick's exact covariance on the lattice.  Only a field built
+by hand from its values goes through the gradient filter D instead.
 """
 from __future__ import annotations
 
@@ -257,16 +258,53 @@ def _amplitude_filter(n: int, h: float, G: float, hbar: float) -> np.ndarray:
     return amp
 
 
-@dataclass(frozen=True)
 class PhiFieldSample:
-    """One spatial sample of the random potential, scaled by sqrt(dt)."""
+    """One spatial sample of the random potential, scaled by sqrt(dt).
 
-    grid: FieldGrid
-    dt: float
-    values: np.ndarray  # (n, n, n) real
-    base_seed: int
-    sample_index: int
-    constants: Constants
+    Built by hand from its (n, n, n) values, or by sample_phi_field from its
+    unit normals per cell, noise; then values is synthesized on its first
+    read, kept and read-only, and reduce_phi_to_w reads only noise.
+    """
+
+    __slots__ = ("grid", "dt", "base_seed", "sample_index", "constants", "noise", "_values")
+
+    def __init__(
+        self,
+        grid: FieldGrid,
+        dt: float,
+        values: np.ndarray | None,
+        base_seed: int,
+        sample_index: int,
+        constants: Constants,
+        noise: np.ndarray | None = None,
+    ) -> None:
+        if (values is None) == (noise is None):
+            raise DomainError("a field sample needs exactly one of values and noise")
+        self.grid = grid
+        self.dt = dt
+        self.base_seed = base_seed
+        self.sample_index = sample_index
+        self.constants = constants
+        self.noise = noise
+        self._values = values
+
+    @property
+    def values(self) -> np.ndarray:
+        # a plain attribute check, not functools.cached_property: on Python
+        # 3.10 and 3.11 its lock is shared by every instance
+        if self._values is None:
+            c = self.constants
+            spec = sfft.rfftn(self.noise)
+            spec *= _amplitude_filter(self.grid.n, self.grid.h, c.G, c.hbar)
+            vals = sfft.irfftn(spec, s=(self.grid.n,) * 3, overwrite_x=True)
+            vals *= math.sqrt(self.dt)
+            vals.flags.writeable = False  # a write here would not move the kick
+            self._values = vals
+        return self._values
+
+    def __repr__(self) -> str:
+        return (f"PhiFieldSample(grid={self.grid!r}, dt={self.dt!r}, "
+                f"base_seed={self.base_seed!r}, sample_index={self.sample_index!r})")
 
 
 def _white_noise(grid: FieldGrid, base_seed: int, sample_index: int) -> np.ndarray:
@@ -284,19 +322,19 @@ def sample_phi_field(
     sample_index: int = 0,
     constants: Constants = Constants(),
 ) -> PhiFieldSample:
-    """Synthesize one field sample with covariance G hbar / |r - s| * dt.
+    """One field sample with covariance G hbar / |r - s| * dt.
 
-    White noise per cell is filtered with sqrt(4 pi G hbar / k^2); the k = 0
-    mode is dropped (only gradients of the field are ever observed, so the
-    uniform component is unphysical).
+    Draws the sample's white noise per cell now, so bad arguments raise
+    here; the field, that noise filtered with sqrt(4 pi G hbar / k^2), is
+    built only when .values is read.  The k = 0 mode is dropped (only
+    gradients of the field are ever observed, so the uniform component is
+    unphysical).
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    spec = sfft.rfftn(_white_noise(grid, base_seed, sample_index))
-    spec *= _amplitude_filter(grid.n, grid.h, constants.G, constants.hbar)
-    vals = sfft.irfftn(spec, s=(grid.n,) * 3, overwrite_x=True)
-    vals *= math.sqrt(dt)
-    return PhiFieldSample(grid, dt, vals, base_seed, sample_index, constants)
+    eta = _white_noise(grid, base_seed, sample_index)
+    eta.flags.writeable = False  # its kick and its values must stay one sample
+    return PhiFieldSample(grid, dt, None, base_seed, sample_index, constants, noise=eta)
 
 
 def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
@@ -329,6 +367,20 @@ def _check_resolution(grid: FieldGrid, profile: MassProfile) -> None:
         )
 
 
+def _projection_rows(profile: MassProfile, grid: FieldGrid, spec: np.ndarray) -> np.ndarray:
+    """(3, n^3) read-only rows sqrt(M / hbar) / omega_g h^3 irfftn(i k_a spec)."""
+    c = profile.constants
+    n = grid.n
+    _, kxd, kzd = _k_arrays(n, grid.h)
+    pref = math.sqrt(c.mass / c.hbar) / omega_g(profile) * grid.h**3
+    rows = np.empty((3, n**3))
+    for row, k in zip(rows, (kxd[:, None, None], kxd[None, :, None], kzd[None, None, :])):
+        grad = sfft.irfftn((1j * k) * spec, s=(n,) * 3, overwrite_x=True)
+        np.multiply(grad.ravel(), pref, out=row)
+    rows.flags.writeable = False
+    return rows
+
+
 @functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
 def _gradient_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
     """(3, n^3) real filter D with reduce_phi_to_w(field) = D @ field values.
@@ -337,21 +389,39 @@ def _gradient_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np
     center), taken spectrally as irfftn(i k_a f_hat): the sharp edge of the
     uniform-sphere profile never needs a real-space derivative.
     """
-    c = profile.constants
-    n = grid.n
-    fhat = _profile_spectrum(profile, grid, center)
-    _, kxd, kzd = _k_arrays(n, grid.h)
-    pref = math.sqrt(c.mass / c.hbar) / omega_g(profile) * grid.h**3
-    d = np.empty((3, n**3))
-    for row, k in zip(d, (kxd[:, None, None], kxd[None, :, None], kzd[None, None, :])):
-        grad = sfft.irfftn((1j * k) * fhat, s=(n,) * 3, overwrite_x=True)
-        np.multiply(grad.ravel(), pref, out=row)
-    d.flags.writeable = False
-    return d
+    return _projection_rows(profile, grid, _profile_spectrum(profile, grid, center))
+
+
+@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
+def _kick_filter(
+    profile: MassProfile, grid: FieldGrid, center: tuple, G: float, hbar: float
+) -> np.ndarray:
+    # the amplitude filter is real and even in k, so filtering the noise and
+    # projecting equals projecting onto the filtered gradient rows; built
+    # from the spectrum, not from D, so a field loop caches one (3, n^3) array
+    amp = _amplitude_filter(grid.n, grid.h, G, hbar)
+    return _projection_rows(profile, grid, amp * _profile_spectrum(profile, grid, center))
 
 
 def _center_key(center) -> tuple:
     return tuple(float(x) for x in center)
+
+
+def kick_filter(
+    grid: FieldGrid,
+    profile: MassProfile,
+    center: tuple = (0.0, 0.0, 0.0),
+    constants: Constants = Constants(),
+) -> np.ndarray:
+    """(3, n^3) filter G from a field sample's white noise to its kick.
+
+    reduce_phi_to_w of a sample drawn with these constants is
+    sqrt(dt) G @ eta for the sample's unit normals eta, so G G^T is the
+    exact covariance of the kick per unit time on this lattice.  Cached and
+    read-only.
+    """
+    _check_resolution(grid, profile)
+    return _kick_filter(profile, grid, _center_key(center), constants.G, constants.hbar)
 
 
 def reduce_phi_to_w(
@@ -364,60 +434,16 @@ def reduce_phi_to_w(
     Returns the 3-vector
         w_a = sqrt(M / hbar) / omega_g * int (d_a f)(r - center) Phi(r) d^3r
     carrying the sample's sqrt(dt) scaling, i.e. a Wiener increment with
-    identity covariance per unit time.  One dot product per axis with the
-    cached gradient filter.
+    identity covariance per unit time.  A sample from sample_phi_field
+    carries its white noise eta, and its kick is sqrt(dt) G @ eta through
+    the cached kick filter (kick_filter), whether or not its values were
+    read; no FFT runs.  A sample built by hand from its values is D @
+    values through the cached gradient filter.
     """
-    _check_resolution(field.grid, profile)
-    d = _gradient_filter(profile, field.grid, _center_key(center))
-    return d @ field.values.ravel()
-
-
-@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
-def _kick_filter(
-    profile: MassProfile, grid: FieldGrid, center: tuple, G: float, hbar: float
-) -> np.ndarray:
-    # the amplitude filter is real and even in k, so filtering the noise and
-    # projecting equals projecting onto the filtered gradient rows
-    n = grid.n
-    d = _gradient_filter(profile, grid, center)
-    amp = _amplitude_filter(n, grid.h, G, hbar)
-    g = np.empty_like(d)
-    for row, d_row in zip(g, d):
-        spec = sfft.rfftn(d_row.reshape((n,) * 3))
-        spec *= amp
-        row[:] = sfft.irfftn(spec, s=(n,) * 3, overwrite_x=True).ravel()
-    g.flags.writeable = False
-    return g
-
-
-def kick_filter(
-    grid: FieldGrid,
-    profile: MassProfile,
-    center: tuple = (0.0, 0.0, 0.0),
-    constants: Constants = Constants(),
-) -> np.ndarray:
-    """(3, n^3) filter G from a field sample's white noise to its kick.
-
-    sample_w is sqrt(dt) G @ eta for the sample's unit normals eta, so
-    G G^T is the exact covariance of the kick per unit time on this lattice.
-    Cached and read-only.
-    """
+    grid = field.grid
+    if field.noise is not None:
+        g = kick_filter(grid, profile, center, field.constants)
+        return math.sqrt(field.dt) * (g @ field.noise.ravel())
     _check_resolution(grid, profile)
-    return _kick_filter(profile, grid, _center_key(center), constants.G, constants.hbar)
-
-
-def sample_w(
-    grid: FieldGrid,
-    profile: MassProfile,
-    dt: float,
-    base_seed: int,
-    sample_index: int = 0,
-    center: tuple = (0.0, 0.0, 0.0),
-    constants: Constants = Constants(),
-) -> np.ndarray:
-    """reduce_phi_to_w(sample_phi_field(grid, dt, base_seed, sample_index,
-    constants), profile, center), up to round-off, without the field."""
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    g = kick_filter(grid, profile, center, constants)
-    return math.sqrt(dt) * (g @ _white_noise(grid, base_seed, sample_index).ravel())
+    d = _gradient_filter(profile, grid, _center_key(center))
+    return d @ field.values.ravel()

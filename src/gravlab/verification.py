@@ -48,7 +48,13 @@ from .model_core import (
     quadratic_potential_check,
     self_energy,
 )
-from .noise_field import FieldGrid, kick_filter, sample_w, wiener_increments
+from .noise_field import (
+    FieldGrid,
+    kick_filter,
+    reduce_phi_to_w,
+    sample_phi_field,
+    wiener_increments,
+)
 
 WIDTH2_TARGET = {Variant.SNE: 0.5, Variant.GSSE: 0.5, Variant.SSNE: 2.0**-0.5}
 
@@ -139,7 +145,7 @@ def criterion_03(workers: int = 1) -> CriterionResult:
     n_samples = 10_000
     ws = np.empty((n_samples, 3))
     for i in range(n_samples):
-        ws[i] = sample_w(grid, profile, 1.0, 1618, i)
+        ws[i] = reduce_phi_to_w(sample_phi_field(grid, 1.0, 1618, i), profile)
     cov = ws.T @ ws / n_samples
     dev = float(np.abs(cov - np.eye(3)).max())
     # the exact lattice covariance: its part of the deviation is bias, the

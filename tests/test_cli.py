@@ -202,6 +202,8 @@ class TestCat:
         est = summary["estimates"]["collapse_time_median"]
         assert 0.0 < est["estimate"] < 0.3
         assert summary["metadata"]["threshold"] == 0.99
+        # 8 / (80 / 1024) = 102.4 cells, rounded to the 102 the observer uses
+        assert summary["metadata"]["separation_used"] == 102 * 80.0 / 1024
         lines = (tmp_path / "cat_weights.csv").read_text().splitlines()
         assert lines[0] == "trajectory,time,weight_left"
         seen = {int(l.split(",")[0]) for l in lines[1:]}
@@ -216,6 +218,7 @@ class TestCat:
         assert rc == 0
         summary = _summary(tmp_path / "cat_summary.json")
         assert 1.4 < summary["decay_rate"] < 2.6
+        assert summary["metadata"]["separation_used"] == 51 * 80.0 / 2048
         lines = (tmp_path / "cat_coherence.csv").read_text().splitlines()
         assert lines[0] == "time,coherence"
         assert len(lines) == 12

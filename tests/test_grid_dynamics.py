@@ -100,6 +100,14 @@ class TestInitValidation:
         with pytest.raises(DomainError):
             gd.CatState(0.25 + 0.0j, 4.0)  # 4 * delta_x = 4 = separation
 
+    def test_separation_rounds_to_whole_cells(self):
+        # both cat presets sit at 51.2 cells; observers shift by 51
+        assert gd.CatState(1.5 + 0.0j, 4.0).separation_cells(80.0 / 1024) == 51
+        assert gd.CatState(4.0 + 0.0j, 2.0).separation_cells(80.0 / 2048) == 51
+        assert gd.CatState(4.0 + 0.0j, 2.0).separation_cells(0.5) == 4
+        with pytest.raises(DomainError):
+            gd.CatState(4.0 + 0.0j, 2.0).separation_cells(5.0)
+
     def test_cat_weight_validation(self):
         with pytest.raises(DomainError):
             gd.CatState(4.0 + 0.0j, 2.0, weight_left=0.7, weight_right=0.4)

@@ -393,11 +393,46 @@ class TestFilters:
         (FieldGrid(32, 6.0), MassProfile.gaussian_ball(1.6, Constants(hbar=0.7, mass=3.0)),
          (0.0, 0.0, 0.0), Constants(G=2.5, hbar=0.7)),
     ])
-    def test_sample_w_equals_reduced_field(self, grid, profile, center, constants):
+    def test_sampled_kick_equals_projected_values(self, grid, profile, center, constants):
         for i in (0, 1, 7, 1000):
-            w = noise_field.sample_w(grid, profile, 0.3, 1618, i, center, constants)
             field = sample_phi_field(grid, 0.3, 1618, i, constants)
-            assert_relative(w, reduce_phi_to_w(field, profile, center), 1e-13)
+            w = reduce_phi_to_w(field, profile, center)
+            by_hand = PhiFieldSample(grid, 0.3, field.values, 1618, i, constants)
+            assert_relative(w, reduce_phi_to_w(by_hand, profile, center), 1e-13)
+
+    def test_kick_does_not_depend_on_reading_values(self):
+        grid, prof, center = OFF_CENTER_BALL
+        unread = sample_phi_field(grid, 0.3, 5, 2)
+        read = sample_phi_field(grid, 0.3, 5, 2)
+        read.values
+        w = reduce_phi_to_w(unread, prof, center)
+        assert np.array_equal(w, reduce_phi_to_w(read, prof, center))
+        unread.values
+        assert np.array_equal(w, reduce_phi_to_w(unread, prof, center))
+
+    @pytest.mark.parametrize("constants", [Constants(), Constants(G=2.5, hbar=0.7)])
+    def test_values_are_the_eager_synthesis(self, constants):
+        grid, dt = FieldGrid(24, 5.0), 0.3
+        for i in (0, 7):
+            # eager synthesis: filter the sample's normals, then scale by sqrt(dt)
+            spec = sfft.rfftn(noise_field._white_noise(grid, 1618, i))
+            spec *= noise_field._amplitude_filter(grid.n, grid.h, constants.G, constants.hbar)
+            eager = sfft.irfftn(spec, s=(grid.n,) * 3, overwrite_x=True)
+            eager *= math.sqrt(dt)
+            field = sample_phi_field(grid, dt, 1618, i, constants)
+            assert np.array_equal(field.values, eager)
+            assert field.values is field.values
+            assert not field.values.flags.writeable and not field.noise.flags.writeable
+
+    @pytest.mark.parametrize("grid, profile, center", [OFF_CENTER_BALL, CENTERED_SPHERE])
+    def test_kick_filter_is_the_filtered_gradient_filter(self, grid, profile, center):
+        n = grid.n
+        amp = noise_field._amplitude_filter(n, grid.h, 1.0, 1.0)
+        d = noise_field._gradient_filter(profile, grid, noise_field._center_key(center))
+        g = noise_field.kick_filter(grid, profile, center)
+        for row, d_row in zip(g, d):
+            ref = sfft.irfftn(amp * sfft.rfftn(d_row.reshape((n,) * 3)), s=(n,) * 3).ravel()
+            assert_relative(row, ref, 1e-13)
 
     def test_kick_covariance_is_the_exact_lattice_covariance(self):
         grid, prof, _ = CENTERED_SPHERE
@@ -405,19 +440,35 @@ class TestFilters:
         expect = reduced_w_expected_cov(prof, grid)
         np.testing.assert_allclose(g @ g.T, np.diag(expect), rtol=0.0, atol=1e-10)
 
-    def test_sample_w_guards(self):
+    def test_guards_raise_at_call_time(self):
         grid = FieldGrid(32, 6.0)  # h = 0.1875, needs sigma >= 1.5
+        coarse = MassProfile.gaussian_ball(0.75)
+        field = sample_phi_field(grid, 1.0, 1)
         with pytest.raises(ResolutionError):
-            noise_field.sample_w(grid, MassProfile.gaussian_ball(0.75), 1.0, 1)
+            reduce_phi_to_w(field, coarse)
         with pytest.raises(ResolutionError):
-            noise_field.kick_filter(grid, MassProfile.gaussian_ball(0.75))
-        prof = MassProfile.gaussian_ball(1.6)
+            reduce_phi_to_w(PhiFieldSample(grid, 1.0, field.values, 1, 0, Constants()), coarse)
+        with pytest.raises(ResolutionError):
+            noise_field.kick_filter(grid, coarse)
         with pytest.raises(DomainError):
-            noise_field.sample_w(grid, prof, 0.0, 1)
+            sample_phi_field(grid, 0.0, 1)
         with pytest.raises(DomainError):
-            noise_field.sample_w(grid, prof, 0.1, -1)
+            sample_phi_field(grid, 0.1, -1)
         with pytest.raises(DomainError):
-            noise_field.sample_w(grid, prof, 0.1, 1, 1 << 63)
+            sample_phi_field(grid, 0.1, 1, 1 << 63)
+        with pytest.raises(DomainError):
+            PhiFieldSample(grid, 1.0, None, 1, 0, Constants())
+        with pytest.raises(DomainError):
+            PhiFieldSample(grid, 1.0, field.values, 1, 0, Constants(), noise=field.noise)
+
+    def test_sampled_loop_builds_no_gradient_filter(self):
+        grid, prof, center = OFF_CENTER_BALL
+        noise_field._gradient_filter.cache_clear()
+        for i in range(4):
+            field = sample_phi_field(grid, 1.0, 3, i)
+            reduce_phi_to_w(field, prof, center)
+            field.values
+        assert noise_field._gradient_filter.cache_info().currsize == 0
 
 
 class TestFilterCaches:
