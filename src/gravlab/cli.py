@@ -35,16 +35,7 @@ from .ensemble_stats import (
 )
 from .errors import ConfigError, GravlabError
 from .gaussian_dynamics import GaussianState, Variant, soliton_state, step
-from .grid_dynamics import (
-    CatState,
-    SoftKernelSpec,
-    coherence_series,
-    init_cat,
-    init_gaussian,
-    make_axis,
-    separation_series,
-    step_quadratic,
-)
+from .grid_dynamics import CatState, coherence_series, make_axis
 from .model_core import (
     MassProfile,
     delta_e_g,
@@ -58,7 +49,6 @@ COLLAPSE_THRESHOLD = 0.99
 # position grids of the cat studies
 COLLAPSE_GRID = {"n": 1024, "x_min": -40.0, "x_max": 40.0}
 COHERENCE_GRID = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
-ATTRACT_KERNEL = SoftKernelSpec(1.0, 5.0)
 
 # every settings key a config file may set, with its parser
 _KEY_TYPES = {
@@ -289,12 +279,7 @@ def _run_solitons(settings: dict) -> int:
                              float(state.delta_x2)))
         finals[variant.name.lower()] = float(state.delta_x2)
 
-    start = init_gaussian(0.0, 0.0, soliton_state(Variant.SNE).a)
-    state = start
-    for _ in range(2_000):
-        state = step_quadratic(state, Variant.SNE, 1e-3, 0.0)
-    fidelity = float(abs(np.sum(np.conj(start.amplitudes) * state.amplitudes))
-                     * state.dx_grid)
+    fidelity = verification.soliton_fidelity(2_000)
 
     out = settings["out_dir"]
     table = out / "solitons.csv"
@@ -356,7 +341,7 @@ def _run_ke_rate(settings: dict) -> int:
 
 
 def _separation_used(cat: CatState, grid: dict) -> float:
-    """The separation the cat observers use: whole cells of the grid."""
+    """The separation the cat readers use: whole cells of the grid."""
     dx = make_axis(**grid)[1]
     return cat.separation_cells(dx) * dx
 
@@ -394,7 +379,7 @@ def _run_cat(settings: dict) -> int:
             dt=settings["dt"], base_seed=settings["seed"],
             workers=settings["workers"], **COHERENCE_GRID,
         )
-        rate = float(-np.polyfit(times, np.log(coherence), 1)[0])
+        rate = verification.decay_rate(times, coherence)
         table = out / "cat_coherence.csv"
         _write_table(table, "time,coherence",
                      [(float(t), float(c)) for t, c in zip(times, coherence)])
@@ -412,16 +397,10 @@ def _run_cat(settings: dict) -> int:
 
 
 def _run_attract(settings: dict) -> int:
-    box = dict(n=2048, x_min=-40.0, x_max=40.0)
-    dt, sep = settings["dt"], settings["separation"]
-    # criterion 13's acceleration leg at the chosen separation and step
-    times, values, _ = separation_series(
-        init_cat(CatState(3.0 + 0.0j, sep), **box), ATTRACT_KERNEL, dt, 300, 25
+    times, values, accel, classical = verification.attraction(
+        settings["separation"], settings["dt"]
     )
-    accel = float(2.0 * np.polyfit(times, values, 2)[0])
-    classical = -ATTRACT_KERNEL.strength * sep / (
-        sep**2 + ATTRACT_KERNEL.a_soft**2
-    ) ** 1.5
+    kernel = verification.ATTRACT_KERNEL
     out = settings["out_dir"]
     table = out / "attract_separation.csv"
     summary = out / "attract_summary.json"
@@ -429,8 +408,8 @@ def _run_attract(settings: dict) -> int:
     _write_json(summary, {
         "schema_version": SCHEMA_VERSION,
         "metadata": _metadata(settings, kernel={
-            "a_soft": ATTRACT_KERNEL.a_soft, "strength": ATTRACT_KERNEL.strength,
-        }, grid=box),
+            "a_soft": kernel.a_soft, "strength": kernel.strength,
+        }, grid=verification.ATTRACT_BOX),
         "fitted_acceleration": accel,
         "classical_acceleration": classical,
         "relative_deviation": abs(accel / classical - 1.0),

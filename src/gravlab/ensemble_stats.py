@@ -76,9 +76,6 @@ class InitialSpec:
             return soliton_state(variant, constants, omega).a
         return complex(self.a)
 
-    def is_soliton(self) -> bool:
-        return self.kind == "soliton"
-
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -91,7 +88,6 @@ class EnsembleConfig:
     dt: float = 1e-3
     base_seed: int = 0
     initial: InitialSpec = InitialSpec.soliton()
-    observables: tuple = OBSERVABLES
     record_stride: int = 0  # 0 picks a stride giving about 200 samples
     grid_n: int = 1024
     grid_x_min: float = -40.0
@@ -109,9 +105,6 @@ class EnsembleConfig:
         n_steps = round(self.t_final / self.dt)
         if n_steps < 1 or abs(n_steps * self.dt - self.t_final) > 1e-9:
             raise DomainError("t_final must be a positive multiple of dt")
-        unknown = set(self.observables) - set(OBSERVABLES)
-        if unknown:
-            raise DomainError(f"unknown observables {sorted(unknown)}")
         if self.record_stride < 0:
             raise DomainError("record_stride must be >= 0")
 
@@ -138,18 +131,15 @@ def _assemble_records(times, samples) -> list[TrajectoryRecord]:
     ]
 
 
-def _gaussian_batch(config: EnsembleConfig, rows: int) -> GaussianState:
-    """Per-trajectory means with one shape-(1,) width shared by every row.
-
-    The width map does not depend on the noise and all trajectories start
-    from the same a0, so the shared width is exact; it broadcasts against
-    the means inside ``step``.
-    """
-    a0 = config.initial.resolve_a(config.variant, config.constants, config.omega)
-    return GaussianState(
-        np.full(rows, float(config.initial.xbar)),
-        np.full(rows, float(config.initial.pbar)),
-        np.full(1, a0, dtype=complex),
+def _start_state(config: EnsembleConfig):
+    """The one state every trajectory of the ensemble starts from."""
+    init = config.initial
+    a0 = init.resolve_a(config.variant, config.constants, config.omega)
+    if config.solver == "gaussian":
+        return GaussianState(float(init.xbar), float(init.pbar), a0)
+    return init_gaussian(
+        init.xbar, init.pbar, a0,
+        config.grid_n, config.grid_x_min, config.grid_x_max, config.constants,
     )
 
 
@@ -162,15 +152,6 @@ def _gaussian_moments(st: GaussianState, constants: Constants):
         np.asarray(kinetic_energy(st, constants), dtype=float),
         np.broadcast_to(st.a, rows),
     )
-
-
-def _grid_batch(config: EnsembleConfig, rows: int) -> GridState:
-    a0 = config.initial.resolve_a(config.variant, config.constants, config.omega)
-    base = init_gaussian(
-        config.initial.xbar, config.initial.pbar, a0,
-        config.grid_n, config.grid_x_min, config.grid_x_max, config.constants,
-    )
-    return base.repeated(rows)
 
 
 def _grid_moments(st: GridState, constants: Constants):
@@ -193,31 +174,24 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> list[TrajectoryRec
     identical to the workers=1 output either way, and a solver failure is
     raised naming the trajectory at fault.
     """
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
     if config.solver == "gaussian":
-        batch, stepper, moments, workers = _gaussian_batch, step, _gaussian_moments, 1
-        n_cells = None
+        # one chunk on the calling thread; min(workers, 1) still lets
+        # map_chunks reject workers < 1
+        stepper, moments, workers, n_cells = step, _gaussian_moments, min(workers, 1), None
     else:
-        batch, stepper, moments = _grid_batch, step_quadratic, _grid_moments
-        n_cells = config.grid_n
+        stepper, moments, n_cells = step_quadratic, _grid_moments, config.grid_n
     variant, dt, consts, omega = config.variant, config.dt, config.constants, config.omega
-    stride = config.stride
+    steps = range(0, config.n_steps + 1, config.stride)
 
     def run_chunk(indices):
-        times, samples = [], []
-
-        def observe(k, st):
-            if k % stride == 0:
-                times.append(k * dt)
-                samples.append(moments(st, consts))
-
-        drive(
-            batch(config, len(indices)),
+        # the start state is built in the chunk, so a failing one names
+        # the trajectory
+        samples = drive(
+            _start_state(config).repeated(len(indices)),
             lambda st, dw: stepper(st, variant, dt, dw, consts, omega),
-            config.base_seed, indices, config.n_steps, dt, observe,
+            config.base_seed, indices, dt, steps, lambda st: moments(st, consts),
         )
-        return _assemble_records(times, samples)
+        return _assemble_records([k * dt for k in steps], samples)
 
     parts = map_chunks(run_chunk, range(config.n_trajectories), workers, n_cells)
     return [rec for part in parts for rec in part]
@@ -269,6 +243,24 @@ def _window_slice(times, t_lo, t_hi):
     return mask
 
 
+def _rate_window(records, name, what, transient, omega):
+    """Fit-window times, the named observable there per trajectory, the window.
+
+    The window runs from the end of the width transient (automatic when
+    transient is None) to the last sample.
+    """
+    if len(records) < 100:
+        raise StatisticsError(f"{what} needs at least 100 trajectories")
+    times, values = _stack_observable(records, name)
+    _, widths = _stack_observable(records, "delta_x")
+    if transient is None:
+        transient = _auto_transient(times, widths, omega)
+    if transient >= times[-1]:
+        raise StatisticsError("simulated range does not outlast the width transient")
+    mask = _window_slice(times, transient, times[-1])
+    return times[mask], values[:, mask], (float(times[mask][0]), float(times[-1]))
+
+
 def _linear_fit(t, y, through_origin=False):
     if through_origin:
         slope = float(np.dot(t, y) / np.dot(t, t))
@@ -305,24 +297,13 @@ def estimate_ke_rate(
     omega: float = 1.0,
 ) -> EstimatorResult:
     """Slope of the ensemble-mean kinetic energy versus time."""
-    if len(records) < 100:
-        raise StatisticsError("kinetic-energy rate needs at least 100 trajectories")
-    times, kin = _stack_observable(records, "kinetic")
-    _, widths = _stack_observable(records, "delta_x")
-    if transient is None:
-        transient = _auto_transient(times, widths, omega)
-    if transient >= times[-1]:
-        raise StatisticsError("simulated range does not outlast the width transient")
-    mask = _window_slice(times, transient, times[-1])
-    t, window = times[mask], (float(times[mask][0]), float(times[-1]))
-    series = kin[:, mask].mean(axis=0)
+    t, kin, window = _rate_window(records, "kinetic", "kinetic-energy rate", transient, omega)
+    series = kin.mean(axis=0)
     if np.ptp(series) == 0.0:
         diag = FitDiagnostics(1.0, False)
         return EstimatorResult("ke_rate", 0.0, STDERR_FLOOR, window, diag)
     slope, r2 = _linear_fit(t, series)
-    stderr = _bootstrap_stderr(
-        kin[:, mask], lambda m: m.mean(axis=0), lambda y: _linear_fit(t, y)[0]
-    )
+    stderr = _bootstrap_stderr(kin, lambda m: m.mean(axis=0), lambda y: _linear_fit(t, y)[0])
     diag = FitDiagnostics(r2, r2 < R2_TREND_THRESHOLD)
     return EstimatorResult("ke_rate", slope, stderr, window, diag)
 
@@ -343,17 +324,7 @@ def estimate_diffusion(
     """
     if observable not in ("xbar", "pbar"):
         raise DomainError("diffusion estimator expects observable xbar or pbar")
-    if len(records) < 100:
-        raise StatisticsError("diffusion fit needs at least 100 trajectories")
-    times, values = _stack_observable(records, observable)
-    _, widths = _stack_observable(records, "delta_x")
-    if transient is None:
-        transient = _auto_transient(times, widths, omega)
-    if transient >= times[-1]:
-        raise StatisticsError("simulated range does not outlast the width transient")
-    mask = _window_slice(times, transient, times[-1])
-    t, window = times[mask], (float(times[mask][0]), float(times[-1]))
-    sub = values[:, mask]
+    t, sub, window = _rate_window(records, observable, "diffusion fit", transient, omega)
     series = sub.var(axis=0, ddof=1)
     name = f"var_{observable}_rate"
     through_origin = variant is Variant.SSNE and observable == "xbar" and window[0] == 0.0
@@ -395,22 +366,21 @@ def estimate_xp_covariance(records, t_max: float = 0.5) -> EstimatorResult:
         pc = pm - pm.mean(axis=0)
         return (xc * pc).sum(axis=0) / (xm.shape[0] - 1)
 
-    def fit_linear_term(y):
-        basis = np.stack([t, t**2], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        return float(coef[0])
+    basis = np.stack([t, t**2], axis=1)
+
+    def fit(y):
+        return np.linalg.lstsq(basis, y, rcond=None)[0]
 
     series = cov_series(xs[:, mask], ps[:, mask])
-    c1 = fit_linear_term(series)
-    fitted = np.stack([t, t**2], axis=1) @ np.linalg.lstsq(
-        np.stack([t, t**2], axis=1), series, rcond=None
-    )[0]
+    coef = fit(series)
+    c1 = float(coef[0])
+    fitted = basis @ coef
     ss_res = float(np.sum((series - fitted) ** 2))
     ss_tot = float(np.sum((series - series.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
     boots = np.array([
-        fit_linear_term(cov_series(xs[d][:, mask], ps[d][:, mask]))
+        fit(cov_series(xs[d][:, mask], ps[d][:, mask]))[0]
         for d in _bootstrap_draws(xs.shape[0])
     ])
     stderr = _spread(boots)
@@ -456,25 +426,19 @@ def run_collapse_ensemble(
     n_steps = round(t_final / dt)
     if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9:
         raise DomainError("t_final must be a positive multiple of dt")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
+    times = dt * np.arange(1, n_steps + 1)
 
     def run_chunk(indices):
-        weights = np.empty((n_steps, len(indices)))
-
-        def observe(k, st):
-            if k:
-                weights[k - 1] = branch_split_weights(st, cat)
-
-        drive(
+        weights = drive(
             init_cat(cat, n, x_min, x_max, constants).repeated(len(indices)),
             lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
-            base_seed, indices, n_steps, dt, observe,
+            base_seed, indices, dt, range(1, n_steps + 1),
+            lambda st: branch_split_weights(st, cat),
         )
-        times = dt * np.arange(1, n_steps + 1)
+        # one row per trajectory: its weight after each step
         return [
-            BranchWeightRecord(j, times, weights[:, col].copy())
-            for col, j in enumerate(indices)
+            BranchWeightRecord(j, times, w)
+            for j, w in zip(indices, np.stack(weights, axis=1))
         ]
 
     parts = map_chunks(run_chunk, range(n_trajectories), workers, n)

@@ -120,6 +120,19 @@ class GaussianState:
         """Momentum variance hbar^2 |a|^2 / Re a."""
         return constants.hbar**2 * np.abs(self.a) ** 2 / np.real(self.a)
 
+    def repeated(self, rows: int) -> "GaussianState":
+        """A batch of `rows` copies of this single packet sharing one width.
+
+        The width map does not depend on the noise, so copies that start
+        from one width keep sharing it exactly: the shape-(1,) width
+        broadcasts against the (rows,) means inside ``step``.
+        """
+        return GaussianState(
+            np.full(rows, float(self.xbar)),
+            np.full(rows, float(self.pbar)),
+            np.full(1, self.a, dtype=complex),
+        )
+
 
 @dataclass(frozen=True)
 class FixedPoint:

@@ -25,7 +25,7 @@ factor, and the renormalization is folded into the trailing kinetic factor
 in Fourier space.  That spectrum is kept in GridState.spectrum (the FFT of
 the returned amplitudes), and the next step starts from it: a step costs
 three FFTs (inverse, forward, inverse) instead of four, and every step
-still hands its observer the real-space amplitudes.
+still returns the real-space amplitudes.
 
 A deterministic nonlocal mode evolves the mean-field dynamics with a
 softened attractive kernel; that update is exactly unitary on the grid, so
@@ -181,7 +181,7 @@ class GridState:
         _, kd = _k_grids(self.n, self.dx_grid)
         psi = self.amplitudes
         dpsi = sfft.ifft(1j * kd * self._fourier(), axis=-1)
-        xc = self.x - self.mean_x()[..., None] if psi.ndim > 1 else self.x - self.mean_x()
+        xc = self.x - self.mean_x()[..., None]
         raw = np.sum(np.conj(psi) * xc * (-1j * constants.hbar) * dpsi, axis=-1).real
         tot = np.sum(_abs2(psi), axis=-1)
         return raw / tot
@@ -222,7 +222,7 @@ class CatState:
     def separation_cells(self, dx: float) -> int:
         """The separation in whole cells of a grid with spacing dx.
 
-        Grid observers shift by whole cells, so the separation they use is
+        Grid readers shift by whole cells, so the separation they use is
         this times dx, the nearest multiple of dx; the CLI reports it.
         """
         cells = int(round(self.separation / dx))
@@ -361,11 +361,9 @@ def step_quadratic(
     # Ito-compensated local drift; for SSNE the imaginary parts cancel
     c_loc = -(alpha * m * omega**2 / (2.0 * hbar) + 0.5 * s * s)
 
-    batched = state.amplitudes.ndim > 1
-    if not batched and np.ndim(dW) != 0:
+    if state.amplitudes.ndim == 1 and np.ndim(dW) != 0:
         raise DomainError("scalar state needs a scalar dW")
     dw = np.asarray(dW)
-    dw_b = dw[..., None] if batched else dw
 
     half = _half_kinetic_factor(state.n, state.dx_grid, float(dt), hbar, m)
     psi = sfft.ifft(state._fourier() * half, axis=-1, overwrite_x=True)
@@ -377,22 +375,22 @@ def step_quadratic(
     tot = np.sum(rho, axis=-1)
     xbar = _rowdot(rho, x) / tot
     dx2_mid = _rowdot(rho, x2) / tot - xbar**2
-    xc = x - (xbar[..., None] if batched else xbar)
+    xc = x - xbar[..., None]
     # exponent (c_loc dt xc + s dW) xc and its exp in one array; GSSE has a
     # purely real exponent, and the real exp path is much cheaper
     if c_loc.imag == 0.0 and s.imag == 0.0:
         factor = xc * (c_loc.real * dt)
-        factor += s.real * dw_b
+        factor += s.real * dw[..., None]
     else:
         factor = xc * (c_loc * dt)
-        factor += s * dw_b
+        factor += s * dw[..., None]
     factor *= xc
     np.exp(factor, out=factor)
     # floor clipping right before the noisy factor, which is what would grow
     # the floor: the factor is zeroed where |psi| < FLOOR_FRACTION * peak,
     # i.e. where rho < FLOOR_FRACTION^2 * max rho (nowhere if rho has a NaN)
     floor = FLOOR_FRACTION**2 * np.max(rho, axis=-1)
-    factor *= ~(rho < (floor[..., None] if batched else floor))
+    factor *= ~(rho < floor[..., None])
     psi *= factor
 
     # the trailing half kinetic factor is unitary, so the norm is read here
@@ -407,7 +405,7 @@ def step_quadratic(
         )
     spectrum = sfft.fft(psi, axis=-1, overwrite_x=True)
     spectrum *= half
-    spectrum *= 1.0 / (nrm[..., None] if batched else nrm)
+    spectrum *= 1.0 / nrm[..., None]
     psi = sfft.ifft(spectrum, axis=-1)
     _check_contained(psi)
     return GridState(psi, state.dx_grid, state.x0, deviation, spectrum)
@@ -524,8 +522,6 @@ def coherence_series(
         raise StatisticsError(f"need at least {MIN_COHERENCE_SEEDS} seeds")
     if variant is Variant.SNE:
         raise DomainError("coherence decay needs a noisy variant")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise DomainError("times must list at least one time")
@@ -533,30 +529,23 @@ def coherence_series(
     if np.any(np.abs(steps_at * dt - times) > 1e-9) or np.any(times < 0):
         raise DomainError("times must be non-negative multiples of dt")
     steps, slot = np.unique(steps_at, return_inverse=True)
-    lookup = {int(k): i for i, k in enumerate(steps)}
-
     start = init_cat(cat, n, x_min, x_max, constants)
     ell_cells = cat.separation_cells(start.dx_grid)
 
+    def overlap(st):
+        # displaced overlap int psi*(x) psi(x + ell) dx isolates the
+        # cross-branch off-diagonal and tolerates branch wandering
+        psi = st.amplitudes
+        return np.sum(np.conj(psi[:, :-ell_cells]) * psi[:, ell_cells:], axis=-1)
+
     def run_chunk(indices):
-        seg = np.empty((steps.size, len(indices)), dtype=complex)
-
-        def record(k, st):
-            # displaced overlap int psi*(x) psi(x + ell) dx isolates the
-            # cross-branch off-diagonal and tolerates branch wandering
-            if k in lookup:
-                psi = st.amplitudes
-                seg[lookup[k]] = np.sum(
-                    np.conj(psi[:, :-ell_cells]) * psi[:, ell_cells:], axis=-1
-                )
-
-        drive(
+        return drive(
             start.repeated(len(indices)),
             lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
-            base_seed, indices, int(steps[-1]), dt, record,
+            base_seed, indices, dt, steps, overlap,
         )
-        return seg
 
+    # (read, trajectory) overlaps of every block
     seg = np.concatenate(map_chunks(run_chunk, seeds, workers, n), axis=1)
     # branch masses are martingales, so the t=0 weights normalize the mean;
     # its real part avoids the upward folding bias of |mean| at low coherence

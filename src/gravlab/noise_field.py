@@ -6,9 +6,10 @@ Three layers:
   pure function of (base_seed, trajectory_index, step), so ensembles are
   reproducible bit-for-bit regardless of execution order.  drive is the one
   ensemble stepping loop built on them: it advances a batch of trajectories,
-  each along its own stream (base_seed, j), and shows every intermediate
-  state to an observer.  map_chunks is the one way an ensemble is split
-  into such batches and spread over worker threads.
+  each along its own stream (base_seed, j), to the step counts its caller
+  declares, and returns what the caller's reader makes of the state at each
+  of them.  map_chunks is the one way an ensemble is split into such
+  batches and spread over worker threads.
 * sample_phi_field: a real random potential on a periodic 3D grid with
   spatial covariance G hbar / |r - s| per unit time.  A sample carries its
   unit white noise per cell, eta; the field itself is synthesized
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -122,36 +124,42 @@ def drive(
     advance: Callable,
     base_seed: int,
     indices: Sequence[int],
-    n_steps: int,
     dt: float,
-    observe: Callable,
-) -> None:
+    steps: Sequence[int],
+    read: Callable,
+) -> list:
     """Step a batch of trajectories along their own single-axis noise streams.
 
     Batch column col follows stream (base_seed, indices[col]), so a
     trajectory's path does not depend on which batch carries it or where.
     Step k + 1 is ``state = advance(state, dW)`` with dW the k-th increment of
-    every column, and ``observe(k, state)`` sees the state after k steps, for
-    k = 0 .. n_steps in order.  The increments are those of
+    every column.  Returns ``read(state)`` after each of the declared step
+    counts, in order; steps must be non-empty, strictly increasing and >= 0,
+    and the run ends at the last one.  The increments are those of
     ``wiener_increments``, drawn NOISE_BLOCK_STEPS steps at a time, so the
-    noise held in memory does not grow with n_steps.
+    noise held in memory does not grow with the run.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    if n_steps < 0:
-        raise DomainError("need n_steps >= 0")
+    steps = [operator.index(k) for k in steps]
+    if not steps or steps[0] < 0 or any(a >= b for a, b in zip(steps, steps[1:])):
+        raise DomainError("steps must be non-empty, strictly increasing and >= 0")
     streams = [_trajectory_stream(base_seed, j) for j in indices]
     scale = math.sqrt(dt)
-    observe(0, state)
-    for start in range(0, n_steps, NOISE_BLOCK_STEPS):
-        table = np.empty((min(NOISE_BLOCK_STEPS, n_steps - start), len(streams)))
-        for col, gen in enumerate(streams):
-            # a Generator's normals continue across calls, so block draws
-            # equal the rows of one whole-table draw
-            table[:, col] = gen.standard_normal(table.shape[0]) * scale
-        for k, dw in enumerate(table, start):
-            state = advance(state, dw)
-            observe(k + 1, state)
+    reads, done = [], 0
+    for target in steps:
+        while done < target:
+            row = done % NOISE_BLOCK_STEPS
+            if row == 0:
+                table = np.empty((min(NOISE_BLOCK_STEPS, steps[-1] - done), len(streams)))
+                for col, gen in enumerate(streams):
+                    # a Generator's normals continue across calls, so block
+                    # draws equal the rows of one whole-table draw
+                    table[:, col] = gen.standard_normal(table.shape[0]) * scale
+            state = advance(state, table[row])
+            done += 1
+        reads.append(read(state))
+    return reads
 
 
 def map_chunks(
@@ -172,6 +180,8 @@ def map_chunks(
     with a solver error, its trajectories are rerun one by one and the error
     is raised again naming the first one that fails.
     """
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
 
     def attributed(chunk):
         try:

@@ -57,6 +57,9 @@ from .noise_field import (
 )
 
 WIDTH2_TARGET = {Variant.SNE: 0.5, Variant.GSSE: 0.5, Variant.SSNE: 2.0**-0.5}
+# criterion 13's box and softened kernel, shared with the attract preset
+ATTRACT_BOX = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
+ATTRACT_KERNEL = SoftKernelSpec(1.0, 5.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,16 +162,19 @@ def criterion_03(workers: int = 1) -> CriterionResult:
     return c.result(3, "projected field covariance")
 
 
+def soliton_fidelity(n_steps: int) -> float:
+    """|<start|state>| of the noise-free grid soliton after n_steps of 1e-3."""
+    start = init_gaussian(0.0, 0.0, soliton_state(Variant.SNE).a)
+    state = start
+    for _ in range(n_steps):
+        state = step_quadratic(state, Variant.SNE, 1e-3, 0.0)
+    return float(abs(np.sum(np.conj(start.amplitudes) * state.amplitudes)) * state.dx_grid)
+
+
 def criterion_04(workers: int = 1) -> CriterionResult:
     """Noise-free soliton keeps unit overlap with its initial profile."""
     del workers
-    start = init_gaussian(0.0, 0.0, soliton_state(Variant.SNE).a)
-    state = start
-    for _ in range(10_000):
-        state = step_quadratic(state, Variant.SNE, 1e-3, 0.0)
-    fidelity = float(
-        abs(np.sum(np.conj(start.amplitudes) * state.amplitudes)) * state.dx_grid
-    )
+    fidelity = soliton_fidelity(10_000)
     c = _Checks()
     c.add(fidelity >= 1.0 - 1e-6,
           f"soliton fidelity after t = 10: deficit {1.0 - fidelity:.2e} (<= 1e-6)")
@@ -322,7 +328,8 @@ def criterion_10(workers: int = 1) -> CriterionResult:
     return c.result(10, "solver cross-check on shared noise")
 
 
-def _decay_rate(times, coherence, t_max: float) -> float:
+def decay_rate(times, coherence, t_max: float = np.inf) -> float:
+    """Minus the slope of log coherence against time, over times <= t_max."""
     mask = times <= t_max + 1e-9
     return float(-np.polyfit(times[mask], np.log(coherence[mask]), 1)[0])
 
@@ -340,27 +347,27 @@ def criterion_11(workers: int = 1) -> CriterionResult:
         )
         for variant in (Variant.GSSE, Variant.SSNE)
     }
-    rate_2 = _decay_rate(times_2, series[Variant.GSSE], 0.30)
+    rate_2 = decay_rate(times_2, series[Variant.GSSE], 0.30)
     c.add(abs(rate_2 - 2.0) <= 0.2,
           f"decay rate at separation 2 = {rate_2:.4f} (2.0 within 10%)")
     # compare the variants on the earliest resolvable window: the ssne
     # mean-field term slowly contracts the branches, which depresses the
     # measured rate at later times even though the t -> 0 rates agree
-    early_g = _decay_rate(times_2, series[Variant.GSSE], 0.09)
-    early_s = _decay_rate(times_2, series[Variant.SSNE], 0.09)
+    early_g = decay_rate(times_2, series[Variant.GSSE], 0.09)
+    early_s = decay_rate(times_2, series[Variant.SSNE], 0.09)
     c.add(abs(early_g - early_s) <= 0.2,
           f"early-window rates, gsse {early_g:.4f} vs ssne {early_s:.4f}: "
           f"difference {abs(early_g - early_s):.4f} (<= 0.2)")
 
     times_1 = np.round(np.arange(0.0, 1.21, 0.1), 10)
-    rate_1 = _decay_rate(
+    rate_1 = decay_rate(
         times_1,
         coherence_series(range(400), CatState(6.0 + 0.0j, 1.0), Variant.GSSE,
                          times_1, base_seed=202, workers=workers, **box),
         1.2,
     )
     times_4 = np.round(np.arange(0.0, 0.076, 0.005), 10)
-    rate_4 = _decay_rate(
+    rate_4 = decay_rate(
         times_4,
         coherence_series(range(400), CatState(4.0 + 0.0j, 4.0), Variant.GSSE,
                          times_4, base_seed=203, workers=workers, **box),
@@ -405,11 +412,26 @@ def criterion_12(workers: int = 1) -> CriterionResult:
     return c.result(12, "collapse statistics")
 
 
+def attraction(separation: float, dt: float = 1e-3):
+    """Early relative acceleration of two packets (a = 3) under the mean field.
+
+    Fits the separation over 300 steps of dt, sampled every 25, with a
+    parabola.  Returns (times, separations, fitted acceleration, softened
+    two-body acceleration).
+    """
+    kernel = ATTRACT_KERNEL
+    times, values, _ = separation_series(
+        init_cat(CatState(3.0 + 0.0j, separation), **ATTRACT_BOX), kernel, dt, 300, 25
+    )
+    accel = float(2.0 * np.polyfit(times, values, 2)[0])
+    classical = -kernel.strength * separation / (separation**2 + kernel.a_soft**2) ** 1.5
+    return times, values, accel, classical
+
+
 def criterion_13(workers: int = 1) -> CriterionResult:
     """Two packets under the nonlocal mean field attract; one packet does not."""
     del workers
-    box = dict(n=2048, x_min=-40.0, x_max=40.0)
-    kernel = SoftKernelSpec(1.0, 5.0)
+    box, kernel = ATTRACT_BOX, ATTRACT_KERNEL
     c = _Checks()
 
     _, separations, state = separation_series(
@@ -421,11 +443,7 @@ def criterion_13(workers: int = 1) -> CriterionResult:
     com = abs(float(state.mean_x()))
     c.add(com <= 1e-6, f"centre of mass stays put: |mean x| = {com:.1e} (<= 1e-6)")
 
-    times, values, _ = separation_series(
-        init_cat(CatState(3.0 + 0.0j, 5.0), **box), kernel, 1e-3, 300, 25
-    )
-    accel = 2.0 * np.polyfit(times, values, 2)[0]
-    classical = -kernel.strength * 5.0 / (5.0**2 + kernel.a_soft**2) ** 1.5
+    _, _, accel, classical = attraction(5.0)
     c.add(abs(accel / classical - 1.0) <= 0.05,
           f"initial relative acceleration = {accel:.5f} vs softened two-body "
           f"value {classical:.5f} (within 5%)")

@@ -150,16 +150,24 @@ class TestEnsembleCommands:
             s["metadata"].pop("timestamp")
         assert sums[0] == sums[1]
 
-    def test_data_independent_of_worker_count(self, tmp_path):
+    @pytest.mark.parametrize("argv, settings, data", [
+        (["ke-rate"], "trajectories = 120\nt_final = 2.0\n", "ke_rate_records.csv"),
+        # three chunks at --workers 3, one at --workers 1
+        (["cat", "--study", "collapse", "--separation", "16", "--dt", "1e-4"],
+         "trajectories = 24\nt_final = 0.05\n", "cat_weights.csv"),
+        (["cat", "--study", "coherence"], "trajectories = 100\nt_final = 0.01\n",
+         "cat_coherence.csv"),
+    ], ids=["ke-rate", "collapse", "coherence"])
+    def test_data_independent_of_worker_count(self, tmp_path, argv, settings, data):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("trajectories = 120\nt_final = 2.0\n")
+        cfg.write_text(settings)
         blobs = []
         for workers, name in ((1, "w1"), (3, "w3")):
             out = tmp_path / name
-            rc = main(["ke-rate", "--config", str(cfg), "--workers", str(workers),
+            rc = main([*argv, "--config", str(cfg), "--workers", str(workers),
                        "--out-dir", str(out)])
             assert rc == 0
-            blobs.append((out / "ke_rate_records.csv").read_bytes())
+            blobs.append((out / data).read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_seed_changes_the_data(self, tmp_path):

@@ -61,10 +61,6 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(Variant.GSSE, t_final=0.0015, dt=1e-3)
 
-    def test_rejects_unknown_observable(self):
-        with pytest.raises(DomainError):
-            small_config(Variant.GSSE, observables=("xbar", "entropy"))
-
     def test_initial_spec_validation(self):
         with pytest.raises(DomainError):
             es.InitialSpec("plane_wave")

@@ -308,21 +308,19 @@ class TestCoherence:
             sys.setswitchinterval(interval)
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
-        # the one-batch observer that blocking replaced
+        # the one-batch reader that blocking replaced
         state = gd.init_cat(cat, **box).repeated(len(seeds))
         ell_cells = int(round(cat.separation / state.dx_grid))
-        steps = np.round(times / dt).astype(int)
-        ref = np.empty(times.shape)
 
-        def record(k, st):
+        def read(st):
             psi = st.amplitudes
             seg = np.sum(np.conj(psi[:, :-ell_cells]) * psi[:, ell_cells:], axis=-1)
             num = np.mean(seg).real * st.dx_grid
-            ref[steps == k] = num / math.sqrt(cat.weight_left * cat.weight_right)
+            return num / math.sqrt(cat.weight_left * cat.weight_right)
 
-        drive(state, lambda st, dw: gd.step_quadratic(st, variant, dt, dw),
-              5, list(seeds), int(steps.max()), dt, record)
-        assert runs[0] == ref.tobytes()
+        ref = drive(state, lambda st, dw: gd.step_quadratic(st, variant, dt, dw),
+                    5, list(seeds), dt, np.round(times / dt).astype(int), read)
+        assert runs[0] == np.array(ref).tobytes()
 
 
 class TestCachedArrays:

@@ -143,48 +143,68 @@ class TestWienerIncrements:
         assert (p.base_seed, p.trajectory_index, p.dt) == (1, 2, 0.5)
 
 
-def driven(base_seed, indices, n_steps, dt):
-    """Rows fed to each step and the (k, state) pairs the observer saw.
+def driven(base_seed, indices, steps, dt):
+    """Rows fed to each step and what was read at each declared step.
 
-    The state counts the steps taken, so each observation shows whether it
-    came after the right number of steps.
+    The state counts the steps taken, so each read shows whether it came
+    after the right number of steps.
     """
-    rows, seen = [], []
+    rows = []
 
     def advance(state, dw):
         rows.append(dw.copy())
         return state + 1
 
-    drive(0, advance, base_seed, indices, n_steps, dt,
-          lambda k, state: seen.append((k, state)))
-    return np.array(rows).reshape(n_steps, len(indices)), seen
+    reads = drive(0, advance, base_seed, indices, dt, steps, lambda state: state)
+    return np.array(rows).reshape(len(rows), len(indices)), reads
 
 
 class TestDrive:
     def test_rows_follow_each_trajectory_stream(self):
-        rows, _ = driven(21, [5, 2, 9], 40, 0.01)
+        rows, _ = driven(21, [5, 2, 9], [40], 0.01)
         for col, j in enumerate([5, 2, 9]):
             want = wiener_increments(21, j, 40, 0.01).increments[:, 0]
             np.testing.assert_array_equal(rows[:, col], want)
 
     def test_blocks_of_steps_feed_the_same_rows(self, monkeypatch):
-        whole, _ = driven(21, [5, 2, 9], 40, 0.01)
+        whole, _ = driven(21, [5, 2, 9], [40], 0.01)
         monkeypatch.setattr(noise_field, "NOISE_BLOCK_STEPS", 7)
-        blocked, seen = driven(21, [5, 2, 9], 40, 0.01)
-        np.testing.assert_array_equal(blocked, whole)
-        assert seen == [(k, k) for k in range(41)]
+        for steps in (range(41), [6, 7, 8, 40]):
+            blocked, reads = driven(21, [5, 2, 9], steps, 0.01)
+            np.testing.assert_array_equal(blocked, whole)
+            assert reads == list(steps)
 
     def test_split_batches_feed_the_same_rows(self):
-        whole, _ = driven(21, [5, 2, 9], 40, 0.01)
-        first, _ = driven(21, [5], 40, 0.01)
-        rest, _ = driven(21, [2, 9], 40, 0.01)
+        whole, _ = driven(21, [5, 2, 9], [40], 0.01)
+        first, _ = driven(21, [5], [40], 0.01)
+        rest, _ = driven(21, [2, 9], [40], 0.01)
         np.testing.assert_array_equal(np.hstack([first, rest]), whole)
 
-    def test_observer_sees_every_step_in_order(self):
-        _, seen = driven(0, [0, 1], 7, 0.1)
-        assert seen == [(k, k) for k in range(8)]
-        _, seen = driven(0, [0, 1], 0, 0.1)
-        assert seen == [(0, 0)]
+    def test_reads_run_only_at_the_declared_steps(self):
+        seen = []
+
+        def read(state):
+            seen.append(state)
+            return -state
+
+        reads = drive(0, lambda state, dw: state + 1, 0, [0, 1], 0.1, [0, 3, 7], read)
+        assert seen == [0, 3, 7]
+        assert reads == [0, -3, -7]
+        _, reads = driven(0, [0, 1], [2, 5], 0.1)
+        assert reads == [2, 5]
+
+    @pytest.mark.parametrize("steps", [[0], [4], [0, 3, 9], range(0, 13, 4)])
+    def test_advance_runs_exactly_the_last_step_count(self, steps):
+        rows, reads = driven(0, [0, 1], steps, 0.1)
+        assert rows.shape == (list(steps)[-1], 2)
+        assert reads == list(steps)
+
+    @pytest.mark.parametrize("steps", [[], [3, 2], [1, 1], [-1]])
+    def test_rejects_bad_steps(self, steps):
+        calls = []
+        with pytest.raises(DomainError):
+            drive(0, lambda state, dw: calls.append(dw), 0, [0, 1], 0.1, steps, calls.append)
+        assert calls == []
 
 
 class TestCachedArrays:
