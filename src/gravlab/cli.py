@@ -30,6 +30,7 @@ from .ensemble_stats import (
     collapse_time_stats,
     run_collapse_ensemble,
     run_ensemble,
+    step_count,
     write_records_csv,
     write_summary_json,
 )
@@ -260,7 +261,7 @@ def _run_solitons(settings: dict) -> int:
     dt, t_final = settings["dt"], settings["t_final"]
     variants = ([settings["variant"]] if settings["variant"] is not None
                 else [Variant.SNE, Variant.GSSE, Variant.SSNE])
-    n_steps = round(t_final / dt)
+    n_steps = step_count(t_final, dt)
     stride = max(1, n_steps // 200)
     rows, finals = [], {}
     for variant in variants:
@@ -351,15 +352,16 @@ def _run_cat(settings: dict) -> int:
     summary = out / "cat_summary.json"
     if settings["study"] == "collapse":
         cat = CatState(1.5 + 0.0j, settings["separation"])
-        records = run_collapse_ensemble(
+        weights = run_collapse_ensemble(
             cat, settings["variant"], settings["trajectories"],
             settings["t_final"], dt=settings["dt"], base_seed=settings["seed"],
             workers=settings["workers"], **COLLAPSE_GRID,
         )
-        stats = collapse_time_stats(records, threshold=COLLAPSE_THRESHOLD)
+        stats = collapse_time_stats(weights, threshold=COLLAPSE_THRESHOLD)
         table = out / "cat_weights.csv"
-        rows = [(r.trajectory, float(t), float(w))
-                for r in records for t, w in zip(r.times, r.weight_left)]
+        times = weights.times.tolist()
+        rows = [(j, t, w) for j, row in enumerate(weights.weight_left.tolist())
+                for t, w in zip(times, row)]
         _write_table(table, "trajectory,time,weight_left", rows)
         write_summary_json(
             [stats], summary,
@@ -371,7 +373,7 @@ def _run_cat(settings: dict) -> int:
         print(f"{stats.name} = {stats.estimate:.6f}")
     else:
         cat = CatState(4.0 + 0.0j, settings["separation"])
-        n_steps = round(settings["t_final"] / settings["dt"])
+        n_steps = step_count(settings["t_final"], settings["dt"])
         sample_steps = np.unique(np.round(np.linspace(0, n_steps, 11)).astype(int))
         times = sample_steps * settings["dt"]
         coherence = coherence_series(

@@ -2,7 +2,7 @@
 
 Trajectory j of an ensemble always consumes the noise stream
 (base_seed, j), so results are a pure function of the config and do not
-depend on chunking, execution order, or worker count.  Estimator standard
+depend on batching, execution order, or worker count.  Estimator standard
 errors come from resampling whole trajectories (200 bootstrap draws with a
 fixed internal seed); pointwise least-squares errors would be badly
 overconfident because residuals are correlated along each trajectory.
@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DomainError, StatisticsError
 from .gaussian_dynamics import (
     GaussianState,
-    TrajectoryRecord,
     Variant,
     kinetic_energy,
     soliton_state,
@@ -33,7 +32,7 @@ from .grid_dynamics import (
     step_quadratic,
 )
 from .model_core import Constants
-from .noise_field import drive, map_chunks
+from .noise_field import run_batches
 
 OBSERVABLES = ("xbar", "pbar", "delta_x", "kinetic")
 SOLVERS = ("gaussian", "grid")
@@ -77,6 +76,16 @@ class InitialSpec:
         return complex(self.a)
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """The number of steps of dt in t_final, which must be a positive multiple of dt."""
+    if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
+        raise DomainError("t_final and dt must be positive and finite")
+    n_steps = round(t_final / dt)
+    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9:
+        raise DomainError("t_final must be a positive multiple of dt")
+    return n_steps
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """One reproducible ensemble run; trajectory j uses seed (base_seed, j)."""
@@ -100,17 +109,13 @@ class EnsembleConfig:
             raise DomainError(f"unknown solver {self.solver!r}")
         if self.n_trajectories < 2:
             raise DomainError("need at least 2 trajectories")
-        if self.t_final <= 0 or self.dt <= 0:
-            raise DomainError("t_final and dt must be positive")
-        n_steps = round(self.t_final / self.dt)
-        if n_steps < 1 or abs(n_steps * self.dt - self.t_final) > 1e-9:
-            raise DomainError("t_final must be a positive multiple of dt")
+        step_count(self.t_final, self.dt)
         if self.record_stride < 0:
             raise DomainError("record_stride must be >= 0")
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_final / self.dt)
+        return step_count(self.t_final, self.dt)
 
     @property
     def stride(self) -> int:
@@ -119,16 +124,34 @@ class EnsembleConfig:
         return max(1, self.n_steps // 200)
 
 
-def _assemble_records(times, samples) -> list[TrajectoryRecord]:
-    """Transpose per-sample moment tuples into one record per trajectory."""
-    times = np.asarray(times)
-    # one (n_samples, n_traj) array per field: xbar, pbar, delta_x, kinetic, a
-    columns = [np.stack(column) for column in zip(*samples)]
-    dtypes = (float, float, float, float, complex)
-    return [
-        TrajectoryRecord(times, *(c[:, j].astype(t) for c, t in zip(columns, dtypes)))
-        for j in range(columns[0].shape[1])
-    ]
+def _read_only(record) -> None:
+    """Make every field of a frozen record a read-only array view.
+
+    The battery shares one cached ensemble between criteria; a write raises.
+    """
+    for f in fields(record):
+        view = np.asarray(getattr(record, f.name)).view()
+        view.flags.writeable = False
+        object.__setattr__(record, f.name, view)
+
+
+@dataclass(frozen=True)
+class EnsembleRecords:
+    """Moment series of an ensemble: times plus one (trajectory, sample)
+    array per observable, read-only; len() is the trajectory count."""
+
+    times: np.ndarray
+    xbar: np.ndarray
+    pbar: np.ndarray
+    delta_x: np.ndarray
+    kinetic: np.ndarray
+    a: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self)
+
+    def __len__(self) -> int:
+        return self.xbar.shape[0]
 
 
 def _start_state(config: EnsembleConfig):
@@ -163,38 +186,36 @@ def _grid_moments(st: GridState, constants: Constants):
             st.kinetic_energy(constants), a_eff)
 
 
-def run_ensemble(config: EnsembleConfig, workers: int = 1) -> list[TrajectoryRecord]:
-    """All trajectories of the configured ensemble, in trajectory order.
+def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleRecords:
+    """All trajectories of the configured ensemble, one row each in order.
 
-    Gaussian ensembles run as one vectorized chunk on the calling thread
+    Gaussian ensembles run as one vectorized batch on the calling thread
     whatever ``workers`` says: each step is a handful of small numpy calls
     that hold the interpreter lock, and threads made them slower.  Grid
     ensembles are stepped in cache-sized blocks of contiguous trajectories
-    by ``noise_field.map_chunks``, on ``workers`` threads.  Records are
+    by ``noise_field.run_batches``, on ``workers`` threads.  Records are
     identical to the workers=1 output either way, and a solver failure is
     raised naming the trajectory at fault.
     """
     if config.solver == "gaussian":
-        # one chunk on the calling thread; min(workers, 1) still lets
-        # map_chunks reject workers < 1
+        # one batch on the calling thread; min(workers, 1) still lets
+        # run_batches reject workers < 1
         stepper, moments, workers, n_cells = step, _gaussian_moments, min(workers, 1), None
     else:
         stepper, moments, n_cells = step_quadratic, _grid_moments, config.grid_n
     variant, dt, consts, omega = config.variant, config.dt, config.constants, config.omega
     steps = range(0, config.n_steps + 1, config.stride)
-
-    def run_chunk(indices):
-        # the start state is built in the chunk, so a failing one names
-        # the trajectory
-        samples = drive(
-            _start_state(config).repeated(len(indices)),
-            lambda st, dw: stepper(st, variant, dt, dw, consts, omega),
-            config.base_seed, indices, dt, steps, lambda st: moments(st, consts),
-        )
-        return _assemble_records([k * dt for k in steps], samples)
-
-    parts = map_chunks(run_chunk, range(config.n_trajectories), workers, n_cells)
-    return [rec for part in parts for rec in part]
+    reads = run_batches(
+        lambda rows: _start_state(config).repeated(rows),
+        lambda st, dw: stepper(st, variant, dt, dw, consts, omega),
+        config.base_seed, range(config.n_trajectories), dt, steps,
+        lambda st: moments(st, consts), workers, n_cells,
+    )
+    # C-ordered (trajectory, sample) arrays: xbar, pbar, delta_x, kinetic, a
+    return EnsembleRecords(
+        np.asarray([k * dt for k in steps]),
+        *(np.stack(column, axis=1) for column in zip(*reads)),
+    )
 
 
 @dataclass(frozen=True)
@@ -221,14 +242,6 @@ class EstimatorResult:
             raise StatisticsError("empty fit window")
 
 
-def _stack_observable(records, name):
-    times = records[0].times
-    for rec in records[1:]:
-        if not np.array_equal(rec.times, times):
-            raise StatisticsError("records do not share a common time grid")
-    return times, np.stack([getattr(rec, name) for rec in records])
-
-
 def _auto_transient(times, delta_x_matrix, omega):
     """Non-soliton starts relax their width; skip 5 / omega of data."""
     mean_width = delta_x_matrix.mean(axis=0)
@@ -251,14 +264,19 @@ def _rate_window(records, name, what, transient, omega):
     """
     if len(records) < 100:
         raise StatisticsError(f"{what} needs at least 100 trajectories")
-    times, values = _stack_observable(records, name)
-    _, widths = _stack_observable(records, "delta_x")
+    times, values = records.times, getattr(records, name)
     if transient is None:
-        transient = _auto_transient(times, widths, omega)
+        transient = _auto_transient(times, records.delta_x, omega)
     if transient >= times[-1]:
         raise StatisticsError("simulated range does not outlast the width transient")
     mask = _window_slice(times, transient, times[-1])
     return times[mask], values[:, mask], (float(times[mask][0]), float(times[-1]))
+
+
+def _r_squared(y, fitted) -> float:
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
 def _linear_fit(t, y, through_origin=False):
@@ -268,10 +286,7 @@ def _linear_fit(t, y, through_origin=False):
     else:
         slope, intercept = np.polyfit(t, y, 1)
         fitted = slope * t + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    return float(slope), _r_squared(y, fitted)
 
 
 def _bootstrap_draws(n: int) -> np.ndarray:
@@ -356,8 +371,7 @@ def estimate_xp_covariance(records, t_max: float = 0.5) -> EstimatorResult:
     """
     if len(records) < 100:
         raise StatisticsError("covariance fit needs at least 100 trajectories")
-    times, xs = _stack_observable(records, "xbar")
-    _, ps = _stack_observable(records, "pbar")
+    times, xs, ps = records.times, records.xbar, records.pbar
     mask = _window_slice(times, 0.0, min(t_max, float(times[-1])))
     t = times[mask]
 
@@ -374,10 +388,7 @@ def estimate_xp_covariance(records, t_max: float = 0.5) -> EstimatorResult:
     series = cov_series(xs[:, mask], ps[:, mask])
     coef = fit(series)
     c1 = float(coef[0])
-    fitted = basis @ coef
-    ss_res = float(np.sum((series - fitted) ** 2))
-    ss_tot = float(np.sum((series - series.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    r2 = _r_squared(series, basis @ coef)
 
     boots = np.array([
         fit(cov_series(xs[d][:, mask], ps[d][:, mask]))[0]
@@ -392,12 +403,18 @@ def estimate_xp_covariance(records, t_max: float = 0.5) -> EstimatorResult:
 
 
 @dataclass(frozen=True)
-class BranchWeightRecord:
-    """Left-branch weight along one cat trajectory, sampled every step."""
+class BranchWeights:
+    """Left-branch weights of a cat ensemble after every step: times and a
+    (trajectory, step) array, read-only; len() is the trajectory count."""
 
-    trajectory: int
     times: np.ndarray
     weight_left: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self)
+
+    def __len__(self) -> int:
+        return self.weight_left.shape[0]
 
 
 def run_collapse_ensemble(
@@ -413,36 +430,24 @@ def run_collapse_ensemble(
     constants: Constants = Constants(),
     omega: float = 1.0,
     workers: int = 1,
-) -> list[BranchWeightRecord]:
-    """Grid cat ensemble recording the branch-weight series per trajectory.
+) -> BranchWeights:
+    """Grid cat ensemble recording every trajectory's branch weights.
 
-    Records are identical whatever ``workers`` says: the trajectories are
-    stepped in cache-sized blocks by ``noise_field.map_chunks``, on
+    Weights are identical whatever ``workers`` says: the trajectories are
+    stepped in cache-sized blocks by ``noise_field.run_batches``, on
     ``workers`` threads, and a solver failure is raised naming the
     trajectory at fault.
     """
     if n_trajectories < 2:
         raise DomainError("need at least 2 trajectories")
-    n_steps = round(t_final / dt)
-    if n_steps < 1 or abs(n_steps * dt - t_final) > 1e-9:
-        raise DomainError("t_final must be a positive multiple of dt")
-    times = dt * np.arange(1, n_steps + 1)
-
-    def run_chunk(indices):
-        weights = drive(
-            init_cat(cat, n, x_min, x_max, constants).repeated(len(indices)),
-            lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
-            base_seed, indices, dt, range(1, n_steps + 1),
-            lambda st: branch_split_weights(st, cat),
-        )
-        # one row per trajectory: its weight after each step
-        return [
-            BranchWeightRecord(j, times, w)
-            for j, w in zip(indices, np.stack(weights, axis=1))
-        ]
-
-    parts = map_chunks(run_chunk, range(n_trajectories), workers, n)
-    return [rec for part in parts for rec in part]
+    n_steps = step_count(t_final, dt)
+    weights = run_batches(
+        lambda rows: init_cat(cat, n, x_min, x_max, constants).repeated(rows),
+        lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
+        base_seed, range(n_trajectories), dt, range(1, n_steps + 1),
+        lambda st: branch_split_weights(st, cat), workers, n,
+    )
+    return BranchWeights(dt * np.arange(1, n_steps + 1), np.stack(weights, axis=1))
 
 
 def collapse_time_stats(records, threshold: float = 0.99) -> EstimatorResult:
@@ -457,30 +462,23 @@ def collapse_time_stats(records, threshold: float = 0.99) -> EstimatorResult:
         raise DomainError("threshold must lie in (0.5, 1)")
     if len(records) < 2:
         raise StatisticsError("need at least 2 trajectories")
-    times_out, winners = [], []
-    for rec in records:
-        w = rec.weight_left
-        hits = np.flatnonzero(np.maximum(w, 1.0 - w) >= threshold)
-        if hits.size:
-            times_out.append(rec.times[hits[0]])
-            winners.append(-1 if w[hits[0]] > 0.5 else 1)
-        else:
-            times_out.append(np.nan)
-            winners.append(0)
-    times_out = np.asarray(times_out)
-    winners = np.asarray(winners)
-    censored = int(np.isnan(times_out).sum())
+    w = records.weight_left
+    hit = np.maximum(w, 1.0 - w) >= threshold
+    rows = np.flatnonzero(hit.any(axis=1))
+    first = hit[rows].argmax(axis=1)  # argmax would read 0 on an undecided row
+    censored = len(records) - rows.size
     if censored > 0.20 * len(records):
         raise StatisticsError(
             f"{censored} of {len(records)} trajectories undecided at t_final"
         )
-    decided = times_out[~np.isnan(times_out)]
+    decided = records.times[first]
     median = float(np.median(decided))
     medians = np.median(decided[_bootstrap_draws(decided.size)], axis=1)
     ci = (float(np.percentile(medians, 2.5)), float(np.percentile(medians, 97.5)))
     stderr = _spread(medians)
     n_decided = decided.size
-    frac_right = float(np.mean(winners[winners != 0] == 1))
+    # past the threshold a weight is never 0.5: below it, the right branch won
+    frac_right = float(np.mean(w[rows, first] < 0.5))
     split_err = math.sqrt(max(frac_right * (1.0 - frac_right), 0.25 / n_decided) / n_decided)
     details = {
         "ci_low": ci[0],
@@ -490,7 +488,7 @@ def collapse_time_stats(records, threshold: float = 0.99) -> EstimatorResult:
         "n_decided": n_decided,
         "n_censored": censored,
     }
-    window = (float(records[0].times[0]), float(records[0].times[-1]))
+    window = (float(records.times[0]), float(records.times[-1]))
     return EstimatorResult(
         "collapse_time_median", median, stderr, window, FitDiagnostics(None, False, details)
     )
@@ -501,26 +499,23 @@ def _float_reprs(values) -> list[str]:
     return list(map(repr, map(float, np.asarray(values).tolist())))
 
 
-def write_records_csv(records, path, observables=OBSERVABLES) -> None:
+def write_records_csv(records: EnsembleRecords, path, observables=OBSERVABLES) -> None:
     """Long-format dump: one row per (trajectory, time, observable).
 
     Writes the bytes a ``csv.writer`` row loop would (CRLF line ends,
     ``repr(float(v))`` digits; observable names are attribute names, so no
     field ever needs quoting), but builds each (trajectory, observable)
-    block as one string.  Times are formatted once per distinct array.
+    block as one string.  Times are formatted once.
     """
-    time_fields = {}  # id(times) -> (times, {name: ["t,name," per sample]})
+    times = _float_reprs(records.times)
+    heads = {name: [f"{t},{name}," for t in times] for name in observables}
     with open(path, "w", newline="") as fh:
         fh.write("trajectory,time,observable,value\r\n")
-        for j, rec in enumerate(records):
-            per_name = time_fields.setdefault(id(rec.times), (rec.times, {}))[1]
+        for j in range(len(records)):
+            lead = f"{j},"
             for name in observables:
-                if name not in per_name:
-                    per_name[name] = [f"{t},{name}," for t in _float_reprs(rec.times)]
-                rows = list(map(str.__add__, per_name[name], _float_reprs(getattr(rec, name))))
-                if rows:
-                    lead = f"{j},"
-                    fh.write(lead + ("\r\n" + lead).join(rows) + "\r\n")
+                rows = map(str.__add__, heads[name], _float_reprs(getattr(records, name)[j]))
+                fh.write(lead + ("\r\n" + lead).join(rows) + "\r\n")
 
 
 def result_to_dict(result: EstimatorResult) -> dict:

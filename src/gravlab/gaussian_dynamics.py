@@ -144,18 +144,6 @@ class FixedPoint:
     physical: bool  # normalizable (Re a > 0)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Time series of single-trajectory observables."""
-
-    times: np.ndarray
-    xbar: np.ndarray
-    pbar: np.ndarray
-    delta_x: np.ndarray
-    kinetic: np.ndarray
-    a: np.ndarray
-
-
 def soliton_state(
     variant: Variant,
     constants: Constants = Constants(),

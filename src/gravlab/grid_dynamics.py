@@ -44,7 +44,7 @@ from scipy import fft as sfft
 from .errors import ContainmentError, DomainError, StatisticsError, StepSizeError
 from .gaussian_dynamics import Variant, variant_coefficients
 from .model_core import Constants
-from .noise_field import drive, map_chunks
+from .noise_field import run_batches
 
 DEFAULT_N = 1024
 DEFAULT_X_MIN = -20.0
@@ -513,7 +513,7 @@ def coherence_series(
         Re mean_traj int psi*(x) psi(x + ell) dx / sqrt(w_L w_R)
     at the requested times, which must be multiples of dt; a time may be
     listed more than once.  The trajectories are stepped in cache-sized
-    blocks by map_chunks, on `workers` threads; the per-trajectory overlaps
+    blocks by run_batches, on `workers` threads; the per-trajectory overlaps
     of all blocks are averaged at once, so the result is the same bytes
     whatever the worker count.
     """
@@ -538,15 +538,12 @@ def coherence_series(
         psi = st.amplitudes
         return np.sum(np.conj(psi[:, :-ell_cells]) * psi[:, ell_cells:], axis=-1)
 
-    def run_chunk(indices):
-        return drive(
-            start.repeated(len(indices)),
-            lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
-            base_seed, indices, dt, steps, overlap,
-        )
-
     # (read, trajectory) overlaps of every block
-    seg = np.concatenate(map_chunks(run_chunk, seeds, workers, n), axis=1)
+    seg = np.stack(run_batches(
+        start.repeated,
+        lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
+        base_seed, seeds, dt, steps, overlap, workers, n,
+    ))
     # branch masses are martingales, so the t=0 weights normalize the mean;
     # its real part avoids the upward folding bias of |mean| at low coherence
     num = np.mean(seg, axis=1).real * start.dx_grid

@@ -8,8 +8,9 @@ Three layers:
   ensemble stepping loop built on them: it advances a batch of trajectories,
   each along its own stream (base_seed, j), to the step counts its caller
   declares, and returns what the caller's reader makes of the state at each
-  of them.  map_chunks is the one way an ensemble is split into such
-  batches and spread over worker threads.
+  of them.  run_batches is the one way a whole ensemble is run: it splits
+  the trajectories into such batches over worker threads and joins the
+  reads of every batch in trajectory order.
 * sample_phi_field: a real random potential on a periodic 3D grid with
   spatial covariance G hbar / |r - s| per unit time.  A sample carries its
   unit white noise per cell, eta; the field itself is synthesized
@@ -53,7 +54,7 @@ _FIELD_STREAM_BIT = 1 << 63
 # reduction to be trustworthy.
 MIN_CELLS_PER_LENGTH = 8
 
-# Complex cells (1 MiB) in one grid chunk.  A block and the temporaries of a
+# Complex cells (1 MiB) in one grid batch.  A block and the temporaries of a
 # step on it stay in a core's L2 cache, and blocks let threads share a batch:
 # on a 2-core machine, 1000 cat trajectories of 2048 cells stepped 1.4x
 # (GSSE) and 1.0x (SSNE) faster in 32-row blocks on one thread, and 2.4x and
@@ -162,36 +163,40 @@ def drive(
     return reads
 
 
-def map_chunks(
-    run_chunk: Callable,
-    indices: Sequence[int],
-    workers: int,
-    n_cells: int | None = None,
+def run_batches(
+    start: Callable, advance: Callable, base_seed: int, indices: Sequence[int], dt: float,
+    steps: Sequence[int], read: Callable, workers: int, n_cells: int | None = None,
 ) -> list:
-    """run_chunk over contiguous chunks of indices, results in index order.
+    """drive over contiguous batches of indices, joined in index order.
 
-    Grid ensembles pass n_cells, the grid size, so that no chunk holds more
-    than BLOCK_CELLS // n_cells rows; n_cells=None (Gaussian ensembles)
-    bounds nothing.  There are at least `workers` chunks, split as evenly as
-    np.array_split does.  With workers == 1 they run in a loop on the
-    calling thread, otherwise on min(workers, chunks) pool threads.  Every
-    per-row operation of the steppers is independent of the batch it runs
-    in, so the results do not depend on the chunking.  When a chunk fails
-    with a solver error, its trajectories are rerun one by one and the error
-    is raised again naming the first one that fails.
+    Each batch runs drive(start(rows), advance, ...), so the start is built
+    inside the batch.  Returns drive's contract for the whole ensemble: for
+    each declared step, read's output for all trajectories in index order,
+    with tuples joined field by field.  Grid ensembles pass n_cells, the
+    grid size, so that no batch holds more than BLOCK_CELLS // n_cells
+    rows.  There are at least `workers` batches, split as np.array_split
+    does; with workers == 1 they run on the calling thread, otherwise on
+    min(workers, batches) pool threads.  Every per-row operation of the
+    steppers is independent of its batch, so the reads do not depend on
+    the batching.  When a batch fails with a solver error, its trajectories
+    are rerun one by one and the error is raised again naming the first
+    one that fails.
     """
     if workers < 1:
         raise DomainError("workers must be >= 1")
 
-    def attributed(chunk):
+    def run(batch):
+        return drive(start(len(batch)), advance, base_seed, batch, dt, steps, read)
+
+    def attributed(batch):
         try:
-            return run_chunk(chunk)
+            return run(batch)
         except GravlabError as exc:
-            if len(chunk) == 1:
-                raise type(exc)(f"trajectory {chunk[0]}: {exc}") from exc
-            for j in chunk:
+            if len(batch) == 1:
+                raise type(exc)(f"trajectory {batch[0]}: {exc}") from exc
+            for j in batch:
                 try:
-                    run_chunk([j])
+                    run([j])
                 except GravlabError as single:
                     raise type(single)(f"trajectory {j}: {single}") from single
             raise
@@ -200,11 +205,20 @@ def map_chunks(
     if n_cells is not None:
         rows = max(1, BLOCK_CELLS // n_cells)
         count = max(count, -(-len(indices) // rows))
-    chunks = [c.tolist() for c in np.array_split(np.asarray(indices), count) if c.size]
+    batches = [b.tolist() for b in np.array_split(np.asarray(indices), count) if b.size]
     if workers == 1:
-        return [attributed(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        return list(pool.map(attributed, chunks))
+        parts = [attributed(batch) for batch in batches]
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+            parts = list(pool.map(attributed, batches))
+    if len(parts) == 1:
+        return parts[0]
+    # parts[batch][read] -> one read per step over every batch
+    return [
+        tuple(map(np.concatenate, zip(*pieces))) if isinstance(pieces[0], tuple)
+        else np.concatenate(pieces)
+        for pieces in zip(*parts)
+    ]
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ def _close(estimate: float, target: float, tol: float, stderr: float = 0.0) -> b
 def _soliton_ensemble(variant: Variant, base_seed: int, workers: int):
     """Shared 1000-trajectory soliton-start ensemble, gaussian solver."""
     config = EnsembleConfig(variant=variant, base_seed=base_seed)
-    return tuple(run_ensemble(config, workers=workers))
+    return run_ensemble(config, workers=workers)
 
 
 def criterion_01(workers: int = 1) -> CriterionResult:
@@ -223,7 +223,7 @@ def criterion_06(workers: int = 1) -> CriterionResult:
 def criterion_07(workers: int = 1) -> CriterionResult:
     """Phase-rotated noise leaves the soliton momentum exactly constant."""
     records = _soliton_ensemble(Variant.SSNE, 103, workers)
-    drift = max(float(np.max(np.abs(r.pbar - r.pbar[0]))) for r in records)
+    drift = float(np.max(np.abs(records.pbar - records.pbar[:, :1])))
     c = _Checks()
     c.add(drift == 0.0,
           f"gaussian-solver momentum deviation over 1000 trajectories = "
@@ -295,7 +295,7 @@ def criterion_09(workers: int = 1) -> CriterionResult:
         )
         records = run_ensemble(config, workers=workers)
         target = WIDTH2_TARGET[variant]
-        dev = max(abs(r.delta_x[-1] ** 2 / target - 1.0) for r in records)
+        dev = max(abs(d ** 2 / target - 1.0) for d in records.delta_x[:, -1])
         c.add(dev <= 0.01,
               f"gaussian {variant.name.lower()} relaxation, worst seed of 1000: "
               f"width^2 off target by {dev:.2e} (<= 1%)")

@@ -88,6 +88,20 @@ class TestErrorPaths:
         assert rc == 1
         assert "gravlab:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["cat", "--study", "collapse", "--dt", "0"],
+        ["cat", "--study", "coherence", "--dt", "0"],
+        ["solitons", "--dt", "0"],
+        ["solitons", "--dt=-1e-3"],
+    ], ids=["collapse", "coherence", "solitons", "solitons-negative"])
+    def test_step_size_must_divide_the_run(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gravlab: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_unknown_criterion_number(self, tmp_path, capsys):
         rc = main(["verify", "--criteria", "99", "--out-dir", str(tmp_path)])
         assert rc == 2

@@ -8,10 +8,10 @@ import pytest
 
 from gravlab import ensemble_stats as es
 from gravlab import grid_dynamics as gd
+from gravlab import noise_field
 from gravlab.errors import ContainmentError, DomainError, StatisticsError
 from gravlab.gaussian_dynamics import (
     GaussianState,
-    TrajectoryRecord,
     Variant,
     kinetic_energy,
     step,
@@ -36,13 +36,9 @@ def small_config(variant, **over):
 
 
 def records_equal(a, b):
-    return (
-        np.array_equal(a.times, b.times)
-        and np.array_equal(a.xbar, b.xbar)
-        and np.array_equal(a.pbar, b.pbar)
-        and np.array_equal(a.delta_x, b.delta_x)
-        and np.array_equal(a.kinetic, b.kinetic)
-        and np.array_equal(a.a, b.a)
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("times", "xbar", "pbar", "delta_x", "kinetic", "a")
     )
 
 
@@ -79,13 +75,13 @@ class TestRunEnsemble:
         first = es.run_ensemble(cfg)
         second = es.run_ensemble(cfg)
         assert len(first) == cfg.n_trajectories
-        assert all(records_equal(x, y) for x, y in zip(first, second))
+        assert records_equal(first, second)
 
     def test_worker_count_does_not_change_records(self):
         cfg = small_config(Variant.SSNE)
         serial = es.run_ensemble(cfg, workers=1)
         threaded = es.run_ensemble(cfg, workers=3)
-        assert all(records_equal(x, y) for x, y in zip(serial, threaded))
+        assert records_equal(serial, threaded)
 
     def test_grid_worker_count_does_not_change_records(self):
         cfg = small_config(
@@ -94,29 +90,38 @@ class TestRunEnsemble:
         )
         serial = es.run_ensemble(cfg, workers=1)
         threaded = es.run_ensemble(cfg, workers=2)
-        assert all(records_equal(x, y) for x, y in zip(serial, threaded))
+        assert records_equal(serial, threaded)
 
     def test_records_are_finite_and_on_schedule(self):
         cfg = small_config(Variant.GSSE, record_stride=100)
         records = es.run_ensemble(cfg)
-        for rec in records:
-            np.testing.assert_allclose(rec.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-            assert rec.times[0] == 0.0
-            for name in ("xbar", "pbar", "delta_x", "kinetic", "a"):
-                assert getattr(rec, name).shape == (6,)
-                assert np.all(np.isfinite(getattr(rec, name)))
-            # the soliton start keeps its width
-            np.testing.assert_allclose(rec.delta_x, np.sqrt(0.5), rtol=1e-12)
+        np.testing.assert_allclose(records.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        assert records.times[0] == 0.0
+        for name in ("xbar", "pbar", "delta_x", "kinetic", "a"):
+            values = getattr(records, name)
+            assert values.shape == (20, 6)
+            # one C-ordered row per trajectory
+            assert values.flags.c_contiguous
+            assert np.all(np.isfinite(values))
+        # the soliton start keeps its width
+        np.testing.assert_allclose(records.delta_x, np.sqrt(0.5), rtol=1e-12)
+
+    def test_returned_arrays_are_read_only(self):
+        records = es.run_ensemble(small_config(Variant.GSSE, record_stride=100))
+        for name in ("times", "xbar", "pbar", "delta_x", "kinetic", "a"):
+            values = getattr(records, name)
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[...] = 0.0
 
     def test_solvers_agree_trajectory_by_trajectory(self):
         shared = dict(variant=Variant.GSSE, n_trajectories=4, t_final=0.2,
                       dt=1e-3, base_seed=9, record_stride=200)
         gauss = es.run_ensemble(es.EnsembleConfig(solver="gaussian", **shared))
         grid = es.run_ensemble(es.EnsembleConfig(solver="grid", **shared))
-        for g, q in zip(gauss, grid):
-            assert abs(g.xbar[-1] - q.xbar[-1]) < 5e-3
-            assert abs(g.pbar[-1] - q.pbar[-1]) < 5e-3
-            assert abs(g.delta_x[-1] - q.delta_x[-1]) < 5e-3
+        for name in ("xbar", "pbar", "delta_x"):
+            g, q = getattr(gauss, name), getattr(grid, name)
+            assert np.all(np.abs(g[:, -1] - q[:, -1]) < 5e-3)
 
     def test_solver_failure_names_the_trajectory(self):
         cfg = small_config(
@@ -146,7 +151,8 @@ class TestRunEnsemble:
         start = GaussianState(np.full(1, initial.xbar), np.full(1, initial.pbar),
                               np.full(1, a0))
         times = [k * cfg.dt for k in range(0, cfg.n_steps + 1, cfg.stride)]
-        for j, rec in enumerate(records):
+        np.testing.assert_array_equal(records.times, times)
+        for j in range(len(records)):
             # reference: one trajectory stepped by hand along its own stream
             dws = wiener_increments(cfg.base_seed, j, cfg.n_steps, cfg.dt).increments[:, 0]
             state, samples = start, [start]
@@ -155,15 +161,15 @@ class TestRunEnsemble:
                 if k % cfg.stride == 0:
                     samples.append(state)
             ref = {
-                "times": times,
                 "xbar": [s.xbar for s in samples],
                 "pbar": [s.pbar for s in samples],
                 "delta_x": [np.sqrt(s.delta_x2) for s in samples],
                 "kinetic": [kinetic_energy(s, cfg.constants) for s in samples],
                 "a": [s.a for s in samples],
             }
+            # row j is trajectory j
             for name, want in ref.items():
-                np.testing.assert_array_equal(getattr(rec, name), np.ravel(want),
+                np.testing.assert_array_equal(getattr(records, name)[j], np.ravel(want),
                                               err_msg=name)
 
 
@@ -244,8 +250,8 @@ class TestDiffusion:
         records = es.run_ensemble(cfg)
         result = es.estimate_diffusion(records, observable, variant)
         assert result.window[0] == 0.0
-        t = records[0].times
-        sub = np.stack([getattr(rec, observable) for rec in records])
+        t = records.times
+        sub = getattr(records, observable)
         through_origin = variant is Variant.SSNE and observable == "xbar"
 
         def var_of(m):
@@ -271,8 +277,8 @@ class TestCrossCovariance:
         assert result.diagnostics.details["all_positive"]
 
 
-def synthetic_branch_records():
-    times = 0.1 * np.arange(1, 11)
+def synthetic_branch_weights(rows=4):
+    """Rows decided at t = 0.3 (left), 0.5 (right) and 0.7 (left), then an undecided row."""
     flat = np.full(10, 0.5)
 
     def crossing(k, left):
@@ -280,17 +286,13 @@ def synthetic_branch_records():
         w[k:] = 0.999 if left else 0.001
         return w
 
-    return [
-        es.BranchWeightRecord(0, times, crossing(2, True)),
-        es.BranchWeightRecord(1, times, crossing(4, False)),
-        es.BranchWeightRecord(2, times, crossing(6, True)),
-        es.BranchWeightRecord(3, times, flat.copy()),
-    ]
+    weights = [crossing(2, True), crossing(4, False), crossing(6, True), flat]
+    return es.BranchWeights(0.1 * np.arange(1, 11), np.stack(weights[:rows]))
 
 
 class TestCollapseStats:
     def test_synthetic_first_passage(self):
-        records = synthetic_branch_records()[:3]
+        records = synthetic_branch_weights(3)
         result = es.collapse_time_stats(records, threshold=0.99)
         assert result.estimate == pytest.approx(0.5)
         details = result.diagnostics.details
@@ -299,13 +301,31 @@ class TestCollapseStats:
         assert details["ci_low"] <= result.estimate <= details["ci_high"]
 
     def test_censoring_budget(self):
-        records = synthetic_branch_records()  # one of four undecided: 25%
+        records = synthetic_branch_weights()  # one of four undecided: 25%
         with pytest.raises(StatisticsError):
             es.collapse_time_stats(records, threshold=0.99)
 
     def test_threshold_validation(self):
         with pytest.raises(DomainError):
-            es.collapse_time_stats(synthetic_branch_records(), threshold=0.3)
+            es.collapse_time_stats(synthetic_branch_weights(), threshold=0.3)
+
+    def test_first_sample_threshold_and_undecided_rows(self):
+        times = 0.1 * np.arange(1, 6)
+        weights = np.full((10, 5), 0.5)
+        weights[0] = 0.995  # decided left at its first sample
+        weights[1, 3:] = 0.99  # exactly at the threshold from step 4 on
+        weights[2, 1:] = 0.005  # decided right at step 2
+        # row 3 and up: decided right at step 5; the last row stays undecided
+        weights[3:9, 4] = 0.001
+        result = es.collapse_time_stats(es.BranchWeights(times, weights), threshold=0.99)
+        details = result.diagnostics.details
+        # an undecided row is censored, not read as a passage at the first sample
+        assert details["n_censored"] == 1
+        assert details["n_decided"] == 9
+        # first passages 0.1, 0.4, 0.2 and six at 0.5
+        assert result.estimate == np.median([0.1, 0.4, 0.2] + [0.5] * 6)
+        assert details["winner_fraction_right"] == pytest.approx(7.0 / 9.0)
+        assert result.window == (0.1, 0.5)
 
     def test_grid_cat_ensemble_first_passage(self):
         cat = CatState(1.5 + 0.0j, 8.0)
@@ -313,7 +333,8 @@ class TestCollapseStats:
             cat, Variant.GSSE, n_trajectories=60, t_final=0.4, dt=2e-4,
             base_seed=12, workers=2,
         )
-        assert [rec.trajectory for rec in records] == list(range(60))
+        assert len(records) == 60
+        assert records.weight_left.shape == (60, 2000)
         result = es.collapse_time_stats(records, threshold=0.99)
         # first-passage scale 2 / ell^2 = 0.03125 for ell = 8
         assert 0.5 * 0.03125 < result.estimate < 2.0 * 0.03125
@@ -329,10 +350,17 @@ class TestCollapseStats:
             for w in (1, 2, 3)
         ]
         for records in runs[1:]:
-            assert [r.trajectory for r in records] == list(range(5))
-            for x, y in zip(runs[0], records):
-                np.testing.assert_array_equal(x.times, y.times)
-                np.testing.assert_array_equal(x.weight_left, y.weight_left)
+            assert records.weight_left.shape == (5, 20)
+            np.testing.assert_array_equal(runs[0].times, records.times)
+            np.testing.assert_array_equal(runs[0].weight_left, records.weight_left)
+
+    def test_returned_arrays_are_read_only(self):
+        records = es.run_collapse_ensemble(CatState(1.5 + 0.0j, 4.0), Variant.GSSE, 2, 0.002,
+                                           dt=5e-4, n=256, x_min=-10.0, x_max=10.0)
+        for values in (records.times, records.weight_left):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[...] = 0.0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_collapse_failure_names_the_trajectory(self, workers):
@@ -355,8 +383,7 @@ class TestBlocks:
             seen.append(list(indices))
             return drive(state, advance, base_seed, indices, *rest)
 
-        monkeypatch.setattr(es, "drive", recording)
-        monkeypatch.setattr(gd, "drive", recording)
+        monkeypatch.setattr(noise_field, "drive", recording)
         return seen
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -389,17 +416,17 @@ def csv_writer_reference(records, path, observables=es.OBSERVABLES):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trajectory", "time", "observable", "value"])
-        for j, rec in enumerate(records):
+        for j in range(len(records)):
             for name in observables:
-                values = getattr(rec, name)
-                for t, v in zip(rec.times, values):
+                values = getattr(records, name)[j]
+                for t, v in zip(records.times, values):
                     writer.writerow([j, repr(float(t)), name, repr(float(v))])
 
 
-def handmade_record(times, values, kinetic=None):
-    values = np.asarray(values)
-    return TrajectoryRecord(
-        times=times, xbar=values, pbar=-values, delta_x=values[::-1],
+def handmade_records(times, rows, kinetic=None):
+    values = np.asarray(rows)
+    return es.EnsembleRecords(
+        times=times, xbar=values, pbar=-values, delta_x=values[:, ::-1],
         kinetic=values if kinetic is None else kinetic, a=values.astype(complex),
     )
 
@@ -408,20 +435,22 @@ class TestEmission:
     def test_csv_matches_csv_writer_reference(self, tmp_path):
         specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]
         times = 0.25 * np.arange(len(specials))
-        records = [
-            handmade_record(times, specials),
+        ramp = np.linspace(-1.0, 3.0, len(specials))
+        ensembles = [
+            handmade_records(times, [specials, ramp,
+                                     np.arange(len(specials), dtype=float) / 3.0]),
             # float32 column
-            handmade_record(times, np.linspace(-1.0, 3.0, len(specials)),
-                            kinetic=np.linspace(0.1, 0.7, len(specials), dtype=np.float32)),
-            # equal times held in a separate array, and different times
-            handmade_record(times.copy(), np.arange(len(specials), dtype=float) / 3.0),
-            handmade_record(np.logspace(-5, 16, len(specials)), specials[::-1]),
+            handmade_records(times, [ramp], kinetic=np.linspace(
+                0.1, 0.7, len(specials), dtype=np.float32)[None]),
+            # different times
+            handmade_records(np.logspace(-5, 16, len(specials)), [specials[::-1]]),
         ]
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        for observables in (es.OBSERVABLES, ("kinetic", "xbar")):
-            es.write_records_csv(records, fast, observables)
-            csv_writer_reference(records, slow, observables)
-            assert fast.read_bytes() == slow.read_bytes()
+        for records in ensembles:
+            for observables in (es.OBSERVABLES, ("kinetic", "xbar")):
+                es.write_records_csv(records, fast, observables)
+                csv_writer_reference(records, slow, observables)
+                assert fast.read_bytes() == slow.read_bytes()
 
     def test_csv_matches_csv_writer_reference_on_ensembles(self, tmp_path):
         gauss = es.run_ensemble(small_config(Variant.SSNE, n_trajectories=4,
@@ -429,7 +458,7 @@ class TestEmission:
         grid = es.run_ensemble(small_config(
             Variant.GSSE, solver="grid", n_trajectories=4, t_final=0.02,
             grid_n=256, grid_x_min=-16.0, grid_x_max=16.0,
-        ), workers=2)  # two chunks, so two distinct time arrays
+        ), workers=2)  # two batches, joined
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         for records in (gauss, grid):
             es.write_records_csv(records, fast)
@@ -452,7 +481,7 @@ class TestEmission:
         assert path.read_bytes() == twin.read_bytes()
 
     def test_json_summary_round_trip(self, tmp_path):
-        result = es.collapse_time_stats(synthetic_branch_records()[:3])
+        result = es.collapse_time_stats(synthetic_branch_weights(3))
         path = tmp_path / "summary.json"
         es.write_summary_json([result], path, metadata={"dt": 1e-3})
         payload = json.loads(path.read_text())

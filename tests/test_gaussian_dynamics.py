@@ -314,26 +314,27 @@ class TestRunTrajectory:
     def test_record_layout(self):
         cfg = es.EnsembleConfig(Variant.GSSE, n_trajectories=2, t_final=0.2, dt=2e-3,
                                 base_seed=4, record_stride=10)
-        for rec in es.run_ensemble(cfg):
-            assert rec.times.shape == (11,)
-            assert np.allclose(np.diff(rec.times), 2e-2, rtol=1e-12)
-            assert rec.times[0] == 0.0
-            for arr in (rec.xbar, rec.pbar, rec.delta_x, rec.kinetic, rec.a):
-                assert arr.shape == (11,)
-            assert np.all(np.isfinite(rec.xbar))
-            assert np.allclose(rec.delta_x, math.sqrt(0.5), rtol=1e-12)
+        records = es.run_ensemble(cfg)
+        assert records.times.shape == (11,)
+        assert np.allclose(np.diff(records.times), 2e-2, rtol=1e-12)
+        assert records.times[0] == 0.0
+        for arr in (records.xbar, records.pbar, records.delta_x, records.kinetic, records.a):
+            assert arr.shape == (2, 11)
+        assert np.all(np.isfinite(records.xbar))
+        assert np.allclose(records.delta_x, math.sqrt(0.5), rtol=1e-12)
 
     def test_matches_manual_stepping(self):
         cfg = es.EnsembleConfig(Variant.GSSE, n_trajectories=4, t_final=0.05, dt=1e-3,
                                 base_seed=6, record_stride=50)
-        rec = es.run_ensemble(cfg)[3]
+        records = es.run_ensemble(cfg)
         path = wiener_increments(6, 3, 50, 1e-3)
         s = soliton_state(Variant.GSSE)
         for k in range(50):
             s = step(s, Variant.GSSE, 1e-3, path.increments[k, 0])
-        assert rec.xbar[-1] == s.xbar
-        assert rec.pbar[-1] == s.pbar
-        assert rec.a[-1] == s.a
+        # row 3 is trajectory 3
+        assert records.xbar[3, -1] == s.xbar
+        assert records.pbar[3, -1] == s.pbar
+        assert records.a[3, -1] == s.a
 
 
 class TestVariantCoefficients:

@@ -228,10 +228,9 @@ class TestCollapse:
         )
         # first passage read off each branch-weight series directly
         times, winners = [], []
-        for rec in records:
-            w = rec.weight_left
+        for w in records.weight_left:
             hits = np.flatnonzero((w >= 0.99) | (w <= 0.01))
-            times.append(rec.times[hits[0]] if hits.size else np.nan)
+            times.append(records.times[hits[0]] if hits.size else np.nan)
             winners.append((-1 if w[hits[0]] > 0.5 else 1) if hits.size else 0)
         times, winners = np.array(times), np.array(winners)
         decided = ~np.isnan(times)
