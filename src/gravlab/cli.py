@@ -12,7 +12,6 @@ across repeated runs with the same settings, independent of worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from datetime import datetime, timezone
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import __version__, verification
 from .ensemble_stats import (
-    SCHEMA_VERSION,
+    MIN_RATE_TRAJECTORIES,
     EnsembleConfig,
     estimate_diffusion,
     estimate_ke_rate,
@@ -34,7 +33,7 @@ from .ensemble_stats import (
     write_records_csv,
     write_summary_json,
 )
-from .errors import ConfigError, GravlabError
+from .errors import ConfigError, GravlabError, StatisticsError
 from .gaussian_dynamics import GaussianState, Variant, soliton_state, step
 from .grid_dynamics import CatState, coherence_series, make_axis
 from .model_core import (
@@ -206,10 +205,6 @@ def _metadata(settings: dict, **extra) -> dict:
     return md
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_table(path: Path, header: str, rows) -> None:
     lines = [header]
     lines.extend(",".join(repr(float(v)) if isinstance(v, float) else str(v)
@@ -229,7 +224,7 @@ def _profile_for(settings: dict) -> MassProfile:
     return MassProfile.gaussian_ball(size)
 
 
-def _run_statics(settings: dict) -> int:
+def _run_statics(settings: dict) -> tuple:
     profile = _profile_for(settings)
     size = float(settings["radius"])
     rows = [
@@ -245,19 +240,15 @@ def _run_statics(settings: dict) -> int:
     table = out / "statics.csv"
     summary = out / "statics_summary.json"
     _write_table(table, "quantity,argument,value", rows)
-    _write_json(summary, {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": _metadata(settings, profile=settings["profile"],
-                              size_parameter=size),
-        "omega_g": omega_g(profile),
-        "self_energy": self_energy(profile),
-    })
+    write_summary_json(
+        None, summary, _metadata(settings, profile=settings["profile"], size_parameter=size),
+        omega_g=omega_g(profile), self_energy=self_energy(profile),
+    )
     print(f"omega_g = {omega_g(profile):.6f}, self energy = {self_energy(profile):.6f}")
-    _announce(table, summary)
-    return 0
+    return table, summary
 
 
-def _run_solitons(settings: dict) -> int:
+def _run_solitons(settings: dict) -> tuple:
     dt, t_final = settings["dt"], settings["t_final"]
     variants = ([settings["variant"]] if settings["variant"] is not None
                 else [Variant.SNE, Variant.GSSE, Variant.SSNE])
@@ -286,17 +277,16 @@ def _run_solitons(settings: dict) -> int:
     table = out / "solitons.csv"
     summary = out / "solitons_summary.json"
     _write_table(table, "variant,time,width2", rows)
-    _write_json(summary, {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": _metadata(settings),
-        "final_width2": finals,
-        "sne_grid_fidelity_t2": fidelity,
-    })
-    _announce(table, summary)
-    return 0
+    write_summary_json(None, summary, _metadata(settings),
+                       final_width2=finals, sne_grid_fidelity_t2=fidelity)
+    return table, summary
 
 
-def _gaussian_ensemble(settings: dict):
+def _run_rate(settings: dict, stem: str, estimators) -> tuple:
+    """Gaussian ensemble records and the estimators' fits, as <stem>_*.csv/json."""
+    # every fit refuses a small ensemble, so refuse it before stepping one
+    if settings["trajectories"] < MIN_RATE_TRAJECTORIES:
+        raise StatisticsError(f"rate fits need at least {MIN_RATE_TRAJECTORIES} trajectories")
     config = EnsembleConfig(
         variant=settings["variant"],
         n_trajectories=settings["trajectories"],
@@ -304,58 +294,26 @@ def _gaussian_ensemble(settings: dict):
         dt=settings["dt"],
         base_seed=settings["seed"],
     )
-    return run_ensemble(config, workers=settings["workers"])
-
-
-def _run_diffusion(settings: dict) -> int:
-    records = _gaussian_ensemble(settings)
-    variant = settings["variant"]
-    results = [
-        estimate_diffusion(records, "xbar", variant=variant),
-        estimate_diffusion(records, "pbar", variant=variant),
-        estimate_xp_covariance(records),
-    ]
+    records = run_ensemble(config, workers=settings["workers"])
+    results = [estimate(records) for estimate in estimators]
     out = settings["out_dir"]
-    table = out / "diffusion_records.csv"
-    summary = out / "diffusion_summary.json"
+    table = out / f"{stem}_records.csv"
+    summary = out / f"{stem}_summary.json"
     write_records_csv(records, table)
-    write_summary_json(results, summary,
-                       metadata=_metadata(settings, solver="gaussian"))
+    write_summary_json(results, summary, _metadata(settings, solver="gaussian"))
     for r in results:
         print(f"{r.name} = {r.estimate:.6f} +- {r.stderr:.6f}")
-    _announce(table, summary)
-    return 0
+    return table, summary
 
 
-def _run_ke_rate(settings: dict) -> int:
-    records = _gaussian_ensemble(settings)
-    result = estimate_ke_rate(records)
+def _run_cat(settings: dict) -> tuple:
     out = settings["out_dir"]
-    table = out / "ke_rate_records.csv"
-    summary = out / "ke_rate_summary.json"
-    write_records_csv(records, table)
-    write_summary_json([result], summary,
-                       metadata=_metadata(settings, solver="gaussian"))
-    print(f"{result.name} = {result.estimate:.6f} +- {result.stderr:.6f}")
-    _announce(table, summary)
-    return 0
-
-
-def _separation_used(cat: CatState, grid: dict) -> float:
-    """The separation the cat readers use: whole cells of the grid."""
-    dx = make_axis(**grid)[1]
-    return cat.separation_cells(dx) * dx
-
-
-def _run_cat(settings: dict) -> int:
-    out = settings["out_dir"]
-    summary = out / "cat_summary.json"
     if settings["study"] == "collapse":
-        cat = CatState(1.5 + 0.0j, settings["separation"])
+        cat, grid = CatState(1.5 + 0.0j, settings["separation"]), COLLAPSE_GRID
         weights = run_collapse_ensemble(
             cat, settings["variant"], settings["trajectories"],
             settings["t_final"], dt=settings["dt"], base_seed=settings["seed"],
-            workers=settings["workers"], **COLLAPSE_GRID,
+            workers=settings["workers"], **grid,
         )
         stats = collapse_time_stats(weights, threshold=COLLAPSE_THRESHOLD)
         table = out / "cat_weights.csv"
@@ -363,42 +321,36 @@ def _run_cat(settings: dict) -> int:
         rows = [(j, t, w) for j, row in enumerate(weights.weight_left.tolist())
                 for t, w in zip(times, row)]
         _write_table(table, "trajectory,time,weight_left", rows)
-        write_summary_json(
-            [stats], summary,
-            metadata=_metadata(settings, study="collapse",
-                               separation=settings["separation"],
-                               separation_used=_separation_used(cat, COLLAPSE_GRID),
-                               grid=COLLAPSE_GRID, threshold=COLLAPSE_THRESHOLD),
-        )
         print(f"{stats.name} = {stats.estimate:.6f}")
+        results, extra, fields = [stats], {"threshold": COLLAPSE_THRESHOLD}, {}
     else:
-        cat = CatState(4.0 + 0.0j, settings["separation"])
+        cat, grid = CatState(4.0 + 0.0j, settings["separation"]), COHERENCE_GRID
         n_steps = step_count(settings["t_final"], settings["dt"])
         sample_steps = np.unique(np.round(np.linspace(0, n_steps, 11)).astype(int))
         times = sample_steps * settings["dt"]
         coherence = coherence_series(
             range(settings["trajectories"]), cat, settings["variant"], times,
             dt=settings["dt"], base_seed=settings["seed"],
-            workers=settings["workers"], **COHERENCE_GRID,
+            workers=settings["workers"], **grid,
         )
         rate = verification.decay_rate(times, coherence)
         table = out / "cat_coherence.csv"
         _write_table(table, "time,coherence",
                      [(float(t), float(c)) for t, c in zip(times, coherence)])
-        _write_json(summary, {
-            "schema_version": SCHEMA_VERSION,
-            "metadata": _metadata(settings, study="coherence",
-                                  separation=settings["separation"],
-                                  separation_used=_separation_used(cat, COHERENCE_GRID),
-                                  grid=COHERENCE_GRID),
-            "decay_rate": rate,
-        })
         print(f"coherence decay rate = {rate:.6f}")
-    _announce(table, summary)
-    return 0
+        results, extra, fields = None, {}, {"decay_rate": rate}
+    dx = make_axis(**grid)[1]  # the cat readers use whole cells of the grid
+    summary = out / "cat_summary.json"
+    write_summary_json(
+        results, summary,
+        _metadata(settings, study=settings["study"], separation=settings["separation"],
+                  separation_used=cat.separation_cells(dx) * dx, grid=grid, **extra),
+        **fields,
+    )
+    return table, summary
 
 
-def _run_attract(settings: dict) -> int:
+def _run_attract(settings: dict) -> tuple:
     times, values, accel, classical = verification.attraction(
         settings["separation"], settings["dt"]
     )
@@ -407,18 +359,16 @@ def _run_attract(settings: dict) -> int:
     table = out / "attract_separation.csv"
     summary = out / "attract_summary.json"
     _write_table(table, "time,separation", list(zip(times, values)))
-    _write_json(summary, {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": _metadata(settings, kernel={
-            "a_soft": kernel.a_soft, "strength": kernel.strength,
-        }, grid=verification.ATTRACT_BOX),
-        "fitted_acceleration": accel,
-        "classical_acceleration": classical,
-        "relative_deviation": abs(accel / classical - 1.0),
-    })
+    write_summary_json(
+        None, summary,
+        _metadata(settings, kernel={"a_soft": kernel.a_soft, "strength": kernel.strength},
+                  grid=verification.ATTRACT_BOX),
+        fitted_acceleration=accel,
+        classical_acceleration=classical,
+        relative_deviation=abs(accel / classical - 1.0),
+    )
     print(f"fitted acceleration = {accel:.5f} (two-body value {classical:.5f})")
-    _announce(table, summary)
-    return 0
+    return table, summary
 
 
 def _run_verify(settings: dict, criteria) -> int:
@@ -432,17 +382,29 @@ def _run_verify(settings: dict, criteria) -> int:
     report_path = out / "verify_report.txt"
     summary = out / "verify_summary.json"
     report_path.write_text(report + "\n")
-    _write_json(summary, {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": _metadata(settings),
-        "criteria": [
-            {"number": r.number, "name": r.name, "passed": r.passed,
-             "details": list(r.details)}
-            for r in results
-        ],
-    })
+    write_summary_json(None, summary, _metadata(settings), criteria=[
+        {"number": r.number, "name": r.name, "passed": r.passed, "details": list(r.details)}
+        for r in results
+    ])
     _announce(report_path, summary)
     return 0 if all(r.passed for r in results) else 1
+
+
+# every command but verify: its function runs it and returns the paths it
+# wrote.  Estimator lists are built per call, so that wrappers patched onto
+# this module's estimator names (bench/layers.py) see every fit.
+_PRESETS = {
+    "statics": _run_statics,
+    "solitons": _run_solitons,
+    "diffusion": lambda settings: _run_rate(settings, "diffusion", [
+        lambda records: estimate_diffusion(records, "xbar", variant=settings["variant"]),
+        lambda records: estimate_diffusion(records, "pbar", variant=settings["variant"]),
+        estimate_xp_covariance,
+    ]),
+    "ke-rate": lambda settings: _run_rate(settings, "ke_rate", [estimate_ke_rate]),
+    "cat": _run_cat,
+    "attract": _run_attract,
+}
 
 
 def main(argv=None) -> int:
@@ -451,19 +413,10 @@ def main(argv=None) -> int:
     try:
         settings = _resolve(args)
         settings["out_dir"].mkdir(parents=True, exist_ok=True)
-        if args.command == "statics":
-            return _run_statics(settings)
-        if args.command == "solitons":
-            return _run_solitons(settings)
-        if args.command == "diffusion":
-            return _run_diffusion(settings)
-        if args.command == "ke-rate":
-            return _run_ke_rate(settings)
-        if args.command == "cat":
-            return _run_cat(settings)
-        if args.command == "attract":
-            return _run_attract(settings)
-        return _run_verify(settings, args.criteria)
+        if args.command == "verify":
+            return _run_verify(settings, args.criteria)
+        _announce(*_PRESETS[args.command](settings))
+        return 0
     except ConfigError as exc:
         print(f"gravlab: config error: {exc}", file=sys.stderr)
         return 2

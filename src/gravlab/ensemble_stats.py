@@ -43,6 +43,7 @@ TRANSIENT_OVER_OMEGA = 5.0  # skipped for non-soliton starts: width relaxation
 N_BOOTSTRAP = 200
 R2_TREND_THRESHOLD = 0.95
 STDERR_FLOOR = 1e-12  # keeps exact-zero estimates from reporting stderr 0
+MIN_RATE_TRAJECTORIES = 100  # fewest trajectories a rate or covariance fit takes
 _BOOTSTRAP_SEED = 0x5EED
 
 
@@ -262,8 +263,8 @@ def _rate_window(records, name, what, transient, omega):
     The window runs from the end of the width transient (automatic when
     transient is None) to the last sample.
     """
-    if len(records) < 100:
-        raise StatisticsError(f"{what} needs at least 100 trajectories")
+    if len(records) < MIN_RATE_TRAJECTORIES:
+        raise StatisticsError(f"{what} needs at least {MIN_RATE_TRAJECTORIES} trajectories")
     times, values = records.times, getattr(records, name)
     if transient is None:
         transient = _auto_transient(times, records.delta_x, omega)
@@ -369,8 +370,8 @@ def estimate_xp_covariance(records, t_max: float = 0.5) -> EstimatorResult:
     c1; the quadratic term absorbs the drift-fed covariance growth so the
     estimate isolates the shared-noise contribution.
     """
-    if len(records) < 100:
-        raise StatisticsError("covariance fit needs at least 100 trajectories")
+    if len(records) < MIN_RATE_TRAJECTORIES:
+        raise StatisticsError(f"covariance fit needs at least {MIN_RATE_TRAJECTORIES} trajectories")
     times, xs, ps = records.times, records.xbar, records.pbar
     mask = _window_slice(times, 0.0, min(t_max, float(times[-1])))
     t = times[mask]
@@ -530,13 +531,13 @@ def result_to_dict(result: EstimatorResult) -> dict:
     }
 
 
-def write_summary_json(results, path, metadata=None) -> None:
-    """JSON summary keyed by estimator name, with a metadata block."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": dict(metadata or {}),
-        "estimates": {r.name: result_to_dict(r) for r in results},
-    }
+def write_summary_json(results, path, metadata=None, **fields) -> None:
+    """The one JSON summary format: schema version and metadata block, the
+    estimates keyed by estimator name unless results is None, and any
+    further top-level fields."""
+    payload = {"schema_version": SCHEMA_VERSION, "metadata": dict(metadata or {}), **fields}
+    if results is not None:
+        payload["estimates"] = {r.name: result_to_dict(r) for r in results}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

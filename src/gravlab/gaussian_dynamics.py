@@ -124,13 +124,14 @@ class GaussianState:
         """A batch of `rows` copies of this single packet sharing one width.
 
         The width map does not depend on the noise, so copies that start
-        from one width keep sharing it exactly: the shape-(1,) width
-        broadcasts against the (rows,) means inside ``step``.
+        from one width keep sharing it exactly: the scalar width broadcasts
+        against the (rows,) means inside ``step`` and takes the same
+        arithmetic as a single-trajectory run.
         """
         return GaussianState(
             np.full(rows, float(self.xbar)),
             np.full(rows, float(self.pbar)),
-            np.full(1, self.a, dtype=complex),
+            complex(self.a),
         )
 
 

@@ -80,15 +80,11 @@ class NoisePath:
     base_seed: int
     trajectory_index: int
     dt: float
-    increments: np.ndarray  # shape (n_steps, n_axes)
+    increments: np.ndarray  # shape (n_steps,)
 
     @property
     def n_steps(self) -> int:
         return self.increments.shape[0]
-
-    @property
-    def n_axes(self) -> int:
-        return self.increments.shape[1]
 
 
 def wiener_increments(
@@ -96,7 +92,6 @@ def wiener_increments(
     trajectory_index: int,
     n_steps: int,
     dt: float,
-    n_axes: int = 1,
 ) -> NoisePath:
     """Draw the full increment table for one trajectory.
 
@@ -106,10 +101,10 @@ def wiener_increments(
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    if n_steps < 0 or n_axes < 1:
-        raise DomainError("need n_steps >= 0 and n_axes >= 1")
+    if n_steps < 0:
+        raise DomainError("need n_steps >= 0")
     gen = _trajectory_stream(base_seed, trajectory_index)
-    incr = gen.standard_normal((n_steps, n_axes)) * math.sqrt(dt)
+    incr = gen.standard_normal(n_steps) * math.sqrt(dt)
     return NoisePath(base_seed, trajectory_index, dt, incr)
 
 

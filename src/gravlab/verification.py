@@ -230,7 +230,7 @@ def criterion_07(workers: int = 1) -> CriterionResult:
           f"{drift} (exactly 0)")
     # same Brownian path at two step sizes: pair-summed fine increments
     # reproduce the coarse increments exactly
-    fine_dw = wiener_increments(41, 0, 20_000, 5e-4).increments[:, 0]
+    fine_dw = wiener_increments(41, 0, 20_000, 5e-4).increments
     coarse_dw = fine_dw.reshape(-1, 2).sum(axis=1)
     drifts = {}
     for dt, dws in ((1e-3, coarse_dw), (5e-4, fine_dw)):
@@ -277,7 +277,7 @@ def criterion_09(workers: int = 1) -> CriterionResult:
     c.add(abs(w2 / 0.5 - 1.0) <= 0.01,
           f"noise-free soliton width^2 at t = 5: {w2:.6f} (0.5 within 1%)")
 
-    dws = wiener_increments(104, 0, 6_000, 1e-3).increments[:, 0]
+    dws = wiener_increments(104, 0, 6_000, 1e-3).increments
     for variant in (Variant.GSSE, Variant.SSNE):
         state = init_gaussian(0.0, 0.0, 2.0 + 0.0j)
         for dw in dws:
@@ -305,7 +305,7 @@ def criterion_09(workers: int = 1) -> CriterionResult:
 def criterion_10(workers: int = 1) -> CriterionResult:
     """Gaussian and grid solvers agree trajectory-wise on shared noise."""
     del workers
-    increments = wiener_increments(42, 0, 50_000, 1e-4).increments[:, 0]
+    increments = wiener_increments(42, 0, 50_000, 1e-4).increments
     c = _Checks()
     for variant in (Variant.GSSE, Variant.SSNE):
         gauss = GaussianState(0.3, -0.4, 0.8 - 0.1j)

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from gravlab import __version__
+from gravlab import __version__, cli
 from gravlab.cli import main
+from gravlab.ensemble_stats import SCHEMA_VERSION
 
 
 def _summary(path):
@@ -96,6 +97,20 @@ class TestErrorPaths:
     ], ids=["collapse", "coherence", "solitons", "solitons-negative"])
     def test_step_size_must_divide_the_run(self, tmp_path, capsys, argv):
         rc = main([*argv, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gravlab: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ke-rate", "diffusion"])
+    def test_rate_presets_refuse_small_ensembles_before_stepping(
+            self, tmp_path, capsys, monkeypatch, command):
+        def stepped(*args, **kwargs):
+            raise AssertionError("a too-small ensemble was stepped")
+
+        monkeypatch.setattr(cli, "run_ensemble", stepped)
+        rc = main([command, "--trajectories", "99", "--out-dir", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("gravlab: ")
@@ -271,3 +286,32 @@ class TestVerify:
         summary = _summary(tmp_path / "verify_summary.json")
         assert [c["number"] for c in summary["criteria"]] == [1, 2]
         assert all(c["passed"] for c in summary["criteria"])
+
+
+class TestOutputEnvelope:
+    @pytest.mark.parametrize("argv, settings", [
+        (["statics"], ""),
+        (["solitons", "--variant", "gsse"], "t_final = 0.1\n"),
+        (["ke-rate"], "trajectories = 100\nt_final = 0.5\n"),
+        (["diffusion"], "trajectories = 100\nt_final = 0.5\n"),
+        (["cat", "--study", "collapse", "--separation", "16", "--dt", "1e-4"],
+         "trajectories = 24\nt_final = 0.05\n"),
+        (["cat", "--study", "coherence"], "trajectories = 100\nt_final = 0.01\n"),
+        (["attract"], ""),
+        (["verify", "--criteria", "1", "2"], ""),
+    ], ids=["statics", "solitons", "ke-rate", "diffusion", "collapse", "coherence",
+            "attract", "verify"])
+    def test_every_preset_writes_one_summary_envelope(self, tmp_path, capsys,
+                                                      argv, settings):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(settings)
+        out = tmp_path / "out"
+        rc = main([*argv, "--config", str(cfg), "--workers", "1", "--out-dir", str(out)])
+        assert rc == 0
+        written = sorted(str(p) for p in out.iterdir())
+        stdout = capsys.readouterr().out.splitlines()
+        assert sorted(l[len("wrote "):] for l in stdout if l.startswith("wrote ")) == written
+        (summary_path,) = out.glob("*.json")
+        summary = _summary(summary_path)
+        assert summary["schema_version"] == SCHEMA_VERSION
+        assert {"version", "units", "seed", "workers", "timestamp"} <= set(summary["metadata"])

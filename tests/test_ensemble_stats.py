@@ -146,15 +146,12 @@ class TestRunEnsemble:
                            initial=initial, record_stride=10)
         records = es.run_ensemble(cfg)
         a0 = initial.resolve_a(variant, cfg.constants, cfg.omega)
-        # one-element arrays keep the reference on numpy's array arithmetic;
-        # Python complex division rounds differently off the fixed point
-        start = GaussianState(np.full(1, initial.xbar), np.full(1, initial.pbar),
-                              np.full(1, a0))
+        start = GaussianState(initial.xbar, initial.pbar, a0)
         times = [k * cfg.dt for k in range(0, cfg.n_steps + 1, cfg.stride)]
         np.testing.assert_array_equal(records.times, times)
         for j in range(len(records)):
             # reference: one trajectory stepped by hand along its own stream
-            dws = wiener_increments(cfg.base_seed, j, cfg.n_steps, cfg.dt).increments[:, 0]
+            dws = wiener_increments(cfg.base_seed, j, cfg.n_steps, cfg.dt).increments
             state, samples = start, [start]
             for k, dw in enumerate(dws, start=1):
                 state = step(state, variant, cfg.dt, dw, cfg.constants, cfg.omega)

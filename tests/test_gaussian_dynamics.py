@@ -30,7 +30,7 @@ SQ2 = math.sqrt(2.0)
 def stepped(state, variant, path):
     """The start state and the state after each step along a noise path."""
     states = [state]
-    for dw in path.increments[:, 0]:
+    for dw in path.increments:
         states.append(step(states[-1], variant, path.dt, dw))
     return states
 
@@ -226,7 +226,7 @@ class TestMeans:
     def test_ssne_soliton_position_is_pure_wiener(self):
         path = wiener_increments(8, 0, 2000, 1e-3)
         states = stepped(soliton_state(Variant.SSNE), Variant.SSNE, path)
-        want = np.concatenate([[0.0], np.cumsum(path.increments[:, 0])])
+        want = np.concatenate([[0.0], np.cumsum(path.increments)])
         assert np.allclose([s.xbar for s in states], want, rtol=0.0, atol=1e-13)
 
     def test_gsse_ensemble_diffusion_laws(self):
@@ -330,7 +330,7 @@ class TestRunTrajectory:
         path = wiener_increments(6, 3, 50, 1e-3)
         s = soliton_state(Variant.GSSE)
         for k in range(50):
-            s = step(s, Variant.GSSE, 1e-3, path.increments[k, 0])
+            s = step(s, Variant.GSSE, 1e-3, path.increments[k])
         # row 3 is trajectory 3
         assert records.xbar[3, -1] == s.xbar
         assert records.pbar[3, -1] == s.pbar

@@ -28,7 +28,7 @@ def batch_of(state, n_traj):
 def noise_table(base_seed, n_traj, n_steps, dt):
     out = np.empty((n_steps, n_traj))
     for b in range(n_traj):
-        out[:, b] = wiener_increments(base_seed, b, n_steps, dt).increments[:, 0]
+        out[:, b] = wiener_increments(base_seed, b, n_steps, dt).increments
     return out
 
 
@@ -137,7 +137,7 @@ class TestStepQuadratic:
     def test_gsse_norm_deviation_zero_mean_o_dt(self):
         dt = 1e-3
         st = gd.init_gaussian(0.0, 0.0, soliton_state(Variant.GSSE).a)
-        incr = wiener_increments(7, 3, 2000, dt).increments[:, 0]
+        incr = wiener_increments(7, 3, 2000, dt).increments
         devs = np.empty(2000)
         for k in range(2000):
             st = gd.step_quadratic(st, Variant.GSSE, dt, incr[k])
@@ -151,7 +151,7 @@ class TestStepQuadratic:
     def test_matches_gaussian_solver_on_shared_noise(self, variant):
         dt = 1e-4
         n_steps = 10000  # t = 1
-        incr = wiener_increments(11, 5, n_steps, dt).increments[:, 0]
+        incr = wiener_increments(11, 5, n_steps, dt).increments
         gs = gauss.GaussianState(0.2, -0.3, 0.8 - 0.1j)
         grid = gd.init_gaussian(0.2, -0.3, 0.8 - 0.1j)
         worst = 0.0
@@ -169,7 +169,7 @@ class TestStepQuadratic:
 
     def test_width_relaxes_to_soliton_value(self):
         st = gd.init_gaussian(0.0, 0.0, 2.0 + 0.0j)
-        incr = wiener_increments(13, 0, 4000, 1e-3).increments[:, 0]
+        incr = wiener_increments(13, 0, 4000, 1e-3).increments
         for k in range(4000):
             st = gd.step_quadratic(st, Variant.GSSE, 1e-3, incr[k])
         assert abs(st.delta_x2() - 0.5) < 5e-3

@@ -95,8 +95,8 @@ def reduced_w_full_fft(field, profile):
 
 class TestWienerIncrements:
     def test_bitwise_reproducible(self):
-        a = wiener_increments(17, 4, 64, 1e-3, n_axes=2)
-        b = wiener_increments(17, 4, 64, 1e-3, n_axes=2)
+        a = wiener_increments(17, 4, 128, 1e-3)
+        b = wiener_increments(17, 4, 128, 1e-3)
         assert np.array_equal(a.increments, b.increments)
 
     def test_prefix_stable_in_step_count(self):
@@ -106,14 +106,14 @@ class TestWienerIncrements:
         assert np.array_equal(short, long[:50])
 
     def test_streams_independent(self):
-        a = wiener_increments(3, 0, 20000, 1.0).increments.ravel()
-        b = wiener_increments(3, 1, 20000, 1.0).increments.ravel()
+        a = wiener_increments(3, 0, 20000, 1.0).increments
+        b = wiener_increments(3, 1, 20000, 1.0).increments
         assert not np.array_equal(a[:100], b[:100])
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
     def test_moments(self):
         dt = 0.25
-        x = wiener_increments(2024, 7, 500000, dt, n_axes=2).increments.ravel()
+        x = wiener_increments(2024, 7, 1000000, dt).increments
         n = x.size
         assert abs(x.mean()) < 4.0 * math.sqrt(dt / n)
         assert abs(x.var() / dt - 1.0) < 5.0 * math.sqrt(2.0 / n)
@@ -138,8 +138,8 @@ class TestWienerIncrements:
             wiener_increments(**kwargs)
 
     def test_path_metadata(self):
-        p = wiener_increments(1, 2, 30, 0.5, n_axes=3)
-        assert (p.n_steps, p.n_axes) == (30, 3)
+        p = wiener_increments(1, 2, 90, 0.5)
+        assert p.n_steps == 90
         assert (p.base_seed, p.trajectory_index, p.dt) == (1, 2, 0.5)
 
 
@@ -163,7 +163,7 @@ class TestDrive:
     def test_rows_follow_each_trajectory_stream(self):
         rows, _ = driven(21, [5, 2, 9], [40], 0.01)
         for col, j in enumerate([5, 2, 9]):
-            want = wiener_increments(21, j, 40, 0.01).increments[:, 0]
+            want = wiener_increments(21, j, 40, 0.01).increments
             np.testing.assert_array_equal(rows[:, col], want)
 
     def test_blocks_of_steps_feed_the_same_rows(self, monkeypatch):
@@ -243,7 +243,7 @@ class TestPhiField:
         # same base seed and index must not reuse the trajectory bitstream
         g = FieldGrid(16, 4.0)
         f = sample_phi_field(g, 1.0, 11, 3).values.ravel()[:4000]
-        w = wiener_increments(11, 3, 4000, 1.0).increments.ravel()
+        w = wiener_increments(11, 3, 4000, 1.0).increments
         assert abs(np.corrcoef(f, w)[0, 1]) < 0.06
 
     def test_two_point_matches_lattice_sum_and_continuum(self):
