@@ -35,7 +35,7 @@ from .ensemble_stats import (
 )
 from .errors import ConfigError, GravlabError, StatisticsError
 from .gaussian_dynamics import GaussianState, Variant, soliton_state, step
-from .grid_dynamics import CatState, coherence_series, make_axis
+from .grid_dynamics import CatState, coherence_series
 from .model_core import (
     MassProfile,
     delta_e_g,
@@ -46,9 +46,6 @@ from .model_core import (
 
 UNITS = "hbar = mass = omega_g = 1"
 COLLAPSE_THRESHOLD = 0.99
-# position grids of the cat studies
-COLLAPSE_GRID = {"n": 1024, "x_min": -40.0, "x_max": 40.0}
-COHERENCE_GRID = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
 
 # every settings key a config file may set, with its parser
 _KEY_TYPES = {
@@ -177,8 +174,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, value in _CAT_STUDY_DEFAULTS[settings["study"]].items():
             if settings[key] is None:
                 settings[key] = value
-    if settings["workers"] == 0:
-        settings["workers"] = os.cpu_count() or 1
+    workers = settings["workers"]
+    if workers < 0:
+        raise ConfigError(f"workers must be >= 0 (0: available cores), got {workers}")
+    if workers == 0:  # the cores this process may run on, as nproc counts them
+        affinity = getattr(os, "sched_getaffinity", None)
+        settings["workers"] = len(affinity(0)) if affinity else os.cpu_count() or 1
     if settings["variant"] is not None:
         try:
             settings["variant"] = Variant[str(settings["variant"]).upper()]
@@ -309,7 +310,7 @@ def _run_rate(settings: dict, stem: str, estimators) -> tuple:
 def _run_cat(settings: dict) -> tuple:
     out = settings["out_dir"]
     if settings["study"] == "collapse":
-        cat, grid = CatState(1.5 + 0.0j, settings["separation"]), COLLAPSE_GRID
+        cat, grid = CatState(1.5 + 0.0j, settings["separation"]), verification.COLLAPSE_BOX
         weights = run_collapse_ensemble(
             cat, settings["variant"], settings["trajectories"],
             settings["t_final"], dt=settings["dt"], base_seed=settings["seed"],
@@ -324,7 +325,7 @@ def _run_cat(settings: dict) -> tuple:
         print(f"{stats.name} = {stats.estimate:.6f}")
         results, extra, fields = [stats], {"threshold": COLLAPSE_THRESHOLD}, {}
     else:
-        cat, grid = CatState(4.0 + 0.0j, settings["separation"]), COHERENCE_GRID
+        cat, grid = CatState(4.0 + 0.0j, settings["separation"]), verification.COHERENCE_BOX
         n_steps = step_count(settings["t_final"], settings["dt"])
         sample_steps = np.unique(np.round(np.linspace(0, n_steps, 11)).astype(int))
         times = sample_steps * settings["dt"]
@@ -339,12 +340,11 @@ def _run_cat(settings: dict) -> tuple:
                      [(float(t), float(c)) for t, c in zip(times, coherence)])
         print(f"coherence decay rate = {rate:.6f}")
         results, extra, fields = None, {}, {"decay_rate": rate}
-    dx = make_axis(**grid)[1]  # the cat readers use whole cells of the grid
     summary = out / "cat_summary.json"
     write_summary_json(
         results, summary,
         _metadata(settings, study=settings["study"], separation=settings["separation"],
-                  separation_used=cat.separation_cells(dx) * dx, grid=grid, **extra),
+                  separation_used=verification.separation_used(cat, grid), grid=grid, **extra),
         **fields,
     )
     return table, summary

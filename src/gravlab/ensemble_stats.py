@@ -31,7 +31,6 @@ from .grid_dynamics import (
     init_gaussian,
     step_quadratic,
 )
-from .model_core import Constants
 from .noise_field import run_batches
 
 OBSERVABLES = ("xbar", "pbar", "delta_x", "kinetic")
@@ -39,7 +38,7 @@ SOLVERS = ("gaussian", "grid")
 SCHEMA_VERSION = 1
 
 # fit-window and bootstrap policy
-TRANSIENT_OVER_OMEGA = 5.0  # skipped for non-soliton starts: width relaxation
+TRANSIENT = 5.0  # skipped for non-soliton starts: width relaxation
 N_BOOTSTRAP = 200
 R2_TREND_THRESHOLD = 0.95
 STDERR_FLOOR = 1e-12  # keeps exact-zero estimates from reporting stderr 0
@@ -71,9 +70,9 @@ class InitialSpec:
     def gaussian(cls, xbar: float, pbar: float, a: complex) -> "InitialSpec":
         return cls("gaussian", xbar, pbar, complex(a))
 
-    def resolve_a(self, variant: Variant, constants: Constants, omega: float) -> complex:
+    def resolve_a(self, variant: Variant) -> complex:
         if self.kind == "soliton":
-            return soliton_state(variant, constants, omega).a
+            return soliton_state(variant).a
         return complex(self.a)
 
 
@@ -102,8 +101,6 @@ class EnsembleConfig:
     grid_n: int = 1024
     grid_x_min: float = -40.0
     grid_x_max: float = 40.0
-    constants: Constants = Constants()
-    omega: float = 1.0
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
@@ -158,33 +155,31 @@ class EnsembleRecords:
 def _start_state(config: EnsembleConfig):
     """The one state every trajectory of the ensemble starts from."""
     init = config.initial
-    a0 = init.resolve_a(config.variant, config.constants, config.omega)
+    a0 = init.resolve_a(config.variant)
     if config.solver == "gaussian":
         return GaussianState(float(init.xbar), float(init.pbar), a0)
     return init_gaussian(
-        init.xbar, init.pbar, a0,
-        config.grid_n, config.grid_x_min, config.grid_x_max, config.constants,
+        init.xbar, init.pbar, a0, config.grid_n, config.grid_x_min, config.grid_x_max
     )
 
 
-def _gaussian_moments(st: GaussianState, constants: Constants):
+def _gaussian_moments(st: GaussianState):
     rows = np.size(st.xbar)
     return (
         np.asarray(st.xbar, dtype=float),
         np.asarray(st.pbar, dtype=float),
         np.broadcast_to(np.sqrt(st.delta_x2), rows),
-        np.asarray(kinetic_energy(st, constants), dtype=float),
+        np.asarray(kinetic_energy(st), dtype=float),
         np.broadcast_to(st.a, rows),
     )
 
 
-def _grid_moments(st: GridState, constants: Constants):
+def _grid_moments(st: GridState):
     dx2 = st.delta_x2()
-    corr = st.correlation_xp(constants)
+    corr = st.correlation_xp()
     # effective complex width read off the moments; exact for Gaussians
-    a_eff = 1.0 / (4.0 * dx2) - 0.5j * corr / (constants.hbar * dx2)
-    return (st.mean_x(), st.mean_p(constants), np.sqrt(dx2),
-            st.kinetic_energy(constants), a_eff)
+    a_eff = 1.0 / (4.0 * dx2) - 0.5j * corr / dx2
+    return st.mean_x(), st.mean_p(), np.sqrt(dx2), st.kinetic_energy(), a_eff
 
 
 def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleRecords:
@@ -204,13 +199,13 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleRecords:
         stepper, moments, workers, n_cells = step, _gaussian_moments, min(workers, 1), None
     else:
         stepper, moments, n_cells = step_quadratic, _grid_moments, config.grid_n
-    variant, dt, consts, omega = config.variant, config.dt, config.constants, config.omega
+    variant, dt = config.variant, config.dt
     steps = range(0, config.n_steps + 1, config.stride)
     reads = run_batches(
         lambda rows: _start_state(config).repeated(rows),
-        lambda st, dw: stepper(st, variant, dt, dw, consts, omega),
+        lambda st, dw: stepper(st, variant, dt, dw),
         config.base_seed, range(config.n_trajectories), dt, steps,
-        lambda st: moments(st, consts), workers, n_cells,
+        moments, workers, n_cells,
     )
     # C-ordered (trajectory, sample) arrays: xbar, pbar, delta_x, kinetic, a
     return EnsembleRecords(
@@ -243,11 +238,11 @@ class EstimatorResult:
             raise StatisticsError("empty fit window")
 
 
-def _auto_transient(times, delta_x_matrix, omega):
-    """Non-soliton starts relax their width; skip 5 / omega of data."""
+def _auto_transient(times, delta_x_matrix):
+    """Non-soliton starts relax their width; skip TRANSIENT of data."""
     mean_width = delta_x_matrix.mean(axis=0)
     drift = np.max(np.abs(mean_width - mean_width[0])) / mean_width[0]
-    return 0.0 if drift < 1e-3 else TRANSIENT_OVER_OMEGA / omega
+    return 0.0 if drift < 1e-3 else TRANSIENT
 
 
 def _window_slice(times, t_lo, t_hi):
@@ -257,7 +252,7 @@ def _window_slice(times, t_lo, t_hi):
     return mask
 
 
-def _rate_window(records, name, what, transient, omega):
+def _rate_window(records, name, what, transient):
     """Fit-window times, the named observable there per trajectory, the window.
 
     The window runs from the end of the width transient (automatic when
@@ -267,7 +262,7 @@ def _rate_window(records, name, what, transient, omega):
         raise StatisticsError(f"{what} needs at least {MIN_RATE_TRAJECTORIES} trajectories")
     times, values = records.times, getattr(records, name)
     if transient is None:
-        transient = _auto_transient(times, records.delta_x, omega)
+        transient = _auto_transient(times, records.delta_x)
     if transient >= times[-1]:
         raise StatisticsError("simulated range does not outlast the width transient")
     mask = _window_slice(times, transient, times[-1])
@@ -307,13 +302,9 @@ def _bootstrap_stderr(matrix, reduce_fn, fit_fn):
     return _spread(np.array([fit_fn(reduce_fn(matrix[d])) for d in draws]))
 
 
-def estimate_ke_rate(
-    records,
-    transient: float | None = None,
-    omega: float = 1.0,
-) -> EstimatorResult:
+def estimate_ke_rate(records, transient: float | None = None) -> EstimatorResult:
     """Slope of the ensemble-mean kinetic energy versus time."""
-    t, kin, window = _rate_window(records, "kinetic", "kinetic-energy rate", transient, omega)
+    t, kin, window = _rate_window(records, "kinetic", "kinetic-energy rate", transient)
     series = kin.mean(axis=0)
     if np.ptp(series) == 0.0:
         diag = FitDiagnostics(1.0, False)
@@ -329,7 +320,6 @@ def estimate_diffusion(
     observable: str,
     variant: Variant | None = None,
     transient: float | None = None,
-    omega: float = 1.0,
 ) -> EstimatorResult:
     """Slope of the ensemble variance of xbar or pbar versus time.
 
@@ -340,7 +330,7 @@ def estimate_diffusion(
     """
     if observable not in ("xbar", "pbar"):
         raise DomainError("diffusion estimator expects observable xbar or pbar")
-    t, sub, window = _rate_window(records, observable, "diffusion fit", transient, omega)
+    t, sub, window = _rate_window(records, observable, "diffusion fit", transient)
     series = sub.var(axis=0, ddof=1)
     name = f"var_{observable}_rate"
     through_origin = variant is Variant.SSNE and observable == "xbar" and window[0] == 0.0
@@ -428,8 +418,6 @@ def run_collapse_ensemble(
     n: int = 1024,
     x_min: float = -40.0,
     x_max: float = 40.0,
-    constants: Constants = Constants(),
-    omega: float = 1.0,
     workers: int = 1,
 ) -> BranchWeights:
     """Grid cat ensemble recording every trajectory's branch weights.
@@ -443,8 +431,8 @@ def run_collapse_ensemble(
         raise DomainError("need at least 2 trajectories")
     n_steps = step_count(t_final, dt)
     weights = run_batches(
-        lambda rows: init_cat(cat, n, x_min, x_max, constants).repeated(rows),
-        lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
+        lambda rows: init_cat(cat, n, x_min, x_max).repeated(rows),
+        lambda st, dw: step_quadratic(st, variant, dt, dw),
         base_seed, range(n_trajectories), dt, range(1, n_steps + 1),
         lambda st: branch_split_weights(st, cat), workers, n,
     )

@@ -5,13 +5,13 @@ Complements the closed-form Gaussian propagator: works for arbitrary states
 Gaussian moment equations and as the only way to simulate collapse and
 decoherence observables.
 
-One Ito step of the quadratic dynamics is Strang-split:
+One Ito step of the quadratic dynamics (hbar = M = omega_g = 1) is Strang-split:
 
     half kinetic (Fourier)  ->  floor clipping  ->  local factor
     ->  renormalize  ->  half kinetic
 
-with the local factor exp[-(alpha M omega^2 / 2 hbar + s^2/2) x_c^2 dt
-+ s x_c dW], x_c = x - <x> centered on the midpoint mean (after the first
+with the local factor exp[-(alpha / 2 + s^2/2) x_c^2 dt + s x_c dW],
+x_c = x - <x> centered on the midpoint mean (after the first
 kinetic half step).  The -s^2 x_c^2 / 2 term converts the exponential
 (Stratonovich-like) update into the Ito generator: with it, the
 pre-renormalization norm deviation per step has zero mean and O(dt) size,
@@ -43,7 +43,6 @@ from scipy import fft as sfft
 
 from .errors import ContainmentError, DomainError, StatisticsError, StepSizeError
 from .gaussian_dynamics import Variant, variant_coefficients
-from .model_core import Constants
 from .noise_field import run_batches
 
 DEFAULT_N = 1024
@@ -71,9 +70,9 @@ def _k_grids(n: int, dx: float):
 
 
 @functools.lru_cache(maxsize=32)
-def _half_kinetic_factor(n: int, dx: float, dt: float, hbar: float, mass: float):
+def _half_kinetic_factor(n: int, dx: float, dt: float):
     k, _ = _k_grids(n, dx)
-    factor = np.exp(-0.25j * hbar * k**2 * dt / mass)
+    factor = np.exp(-0.25j * k**2 * dt)
     factor.flags.writeable = False
     return factor
 
@@ -90,8 +89,8 @@ def _dealias_mask(n: int, dx: float):
 
 
 @functools.lru_cache(maxsize=32)
-def _dealiased_half_kinetic_factor(n: int, dx: float, dt: float, hbar: float, mass: float):
-    factor = _half_kinetic_factor(n, dx, dt, hbar, mass) * _dealias_mask(n, dx)
+def _dealiased_half_kinetic_factor(n: int, dx: float, dt: float):
+    factor = _half_kinetic_factor(n, dx, dt) * _dealias_mask(n, dx)
     factor.flags.writeable = False
     return factor
 
@@ -159,30 +158,30 @@ class GridState:
         w = _abs2(self._fourier())
         return w, np.sum(w, axis=-1)
 
-    def mean_p(self, constants: Constants = Constants()):
+    def mean_p(self):
         _, kd = _k_grids(self.n, self.dx_grid)
         w, tot = self._spectral_weights()
-        return constants.hbar * np.sum(kd * w, axis=-1) / tot
+        return np.sum(kd * w, axis=-1) / tot
 
-    def delta_p2(self, constants: Constants = Constants()):
+    def delta_p2(self):
         k, kd = _k_grids(self.n, self.dx_grid)
         w, tot = self._spectral_weights()
         m1 = np.sum(kd * w, axis=-1) / tot
         m2 = np.sum(k**2 * w, axis=-1) / tot
-        return constants.hbar**2 * (m2 - m1**2)
+        return m2 - m1**2
 
-    def kinetic_energy(self, constants: Constants = Constants()):
+    def kinetic_energy(self):
         k, _ = _k_grids(self.n, self.dx_grid)
         w, tot = self._spectral_weights()
-        return constants.hbar**2 * np.sum(k**2 * w, axis=-1) / tot / (2.0 * constants.mass)
+        return np.sum(k**2 * w, axis=-1) / tot / 2.0
 
-    def correlation_xp(self, constants: Constants = Constants()):
+    def correlation_xp(self):
         """Symmetrized covariance <xp + px>/2 - <x><p>."""
         _, kd = _k_grids(self.n, self.dx_grid)
         psi = self.amplitudes
         dpsi = sfft.ifft(1j * kd * self._fourier(), axis=-1)
         xc = self.x - self.mean_x()[..., None]
-        raw = np.sum(np.conj(psi) * xc * (-1j * constants.hbar) * dpsi, axis=-1).real
+        raw = np.sum(np.conj(psi) * xc * (-1j) * dpsi, axis=-1).real
         tot = np.sum(_abs2(psi), axis=-1)
         return raw / tot
 
@@ -269,9 +268,8 @@ def init_gaussian(
     n: int = DEFAULT_N,
     x_min: float = DEFAULT_X_MIN,
     x_max: float = DEFAULT_X_MAX,
-    constants: Constants = Constants(),
 ) -> GridState:
-    """Normalized Gaussian exp(-a (x - xbar)^2 + i pbar (x - xbar) / hbar)."""
+    """Normalized Gaussian exp(-a (x - xbar)^2 + i pbar (x - xbar))."""
     if not np.real(a) > 0:
         raise DomainError("need Re(a) > 0 for a normalizable packet")
     x, dx = make_axis(n, x_min, x_max)
@@ -279,7 +277,7 @@ def init_gaussian(
     if xbar - 6.0 * spread < x_min or xbar + 6.0 * spread > x_max:
         raise ContainmentError("grid does not contain 6 standard deviations around xbar")
     xc = x - xbar
-    psi = np.exp(-a * xc**2 + 1j * pbar * xc / constants.hbar)
+    psi = np.exp(-a * xc**2 + 1j * pbar * xc)
     psi = psi / (math.sqrt(np.sum(np.abs(psi) ** 2) * dx))
     return GridState(psi, dx, x_min)
 
@@ -289,7 +287,6 @@ def init_cat(
     n: int = DEFAULT_N,
     x_min: float = DEFAULT_X_MIN,
     x_max: float = DEFAULT_X_MAX,
-    constants: Constants = Constants(),
 ) -> GridState:
     """Normalized two-branch state centered on the origin."""
     x, dx = make_axis(n, x_min, x_max)
@@ -332,20 +329,13 @@ def _check_contained(psi: np.ndarray):
         )
 
 
-def _check_kinetic_resolution(dt: float, dx: float, constants: Constants):
-    phase = constants.hbar * dt / (2.0 * constants.mass * dx**2)
+def _check_kinetic_resolution(dt: float, dx: float):
+    phase = dt / (2.0 * dx**2)
     if phase >= 0.5:
         raise StepSizeError(f"kinetic phase per step {phase:.3f} >= 0.5; reduce dt")
 
 
-def step_quadratic(
-    state: GridState,
-    variant: Variant,
-    dt: float,
-    dW,
-    constants: Constants = Constants(),
-    omega: float = 1.0,
-) -> GridState:
+def step_quadratic(state: GridState, variant: Variant, dt: float, dW) -> GridState:
     """One Ito step of the chosen variant; see the module docstring.
 
     dW is scalar for a single state or shape (batch,) for batched states.
@@ -355,17 +345,16 @@ def step_quadratic(
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    _check_kinetic_resolution(dt, state.dx_grid, constants)
-    m, hbar = constants.mass, constants.hbar
-    alpha, s = variant_coefficients(variant, constants, omega)
+    _check_kinetic_resolution(dt, state.dx_grid)
+    alpha, s = variant_coefficients(variant)
     # Ito-compensated local drift; for SSNE the imaginary parts cancel
-    c_loc = -(alpha * m * omega**2 / (2.0 * hbar) + 0.5 * s * s)
+    c_loc = -(alpha / 2.0 + 0.5 * s * s)
 
     if state.amplitudes.ndim == 1 and np.ndim(dW) != 0:
         raise DomainError("scalar state needs a scalar dW")
     dw = np.asarray(dW)
 
-    half = _half_kinetic_factor(state.n, state.dx_grid, float(dt), hbar, m)
+    half = _half_kinetic_factor(state.n, state.dx_grid, float(dt))
     psi = sfft.ifft(state._fourier() * half, axis=-1, overwrite_x=True)
     rho = _abs2(psi)
     # center the noise factor on the midpoint mean: pre-step centering leaves
@@ -431,12 +420,7 @@ def mean_field_potential(rho: np.ndarray, dx: float, kernel: SoftKernelSpec) -> 
     return sfft.irfft(sfft.rfft(padded, axis=-1) * spec, axis=-1)[..., :n]
 
 
-def step_sne_nonlocal(
-    state: GridState,
-    kernel: SoftKernelSpec,
-    dt: float,
-    constants: Constants = Constants(),
-) -> GridState:
+def step_sne_nonlocal(state: GridState, kernel: SoftKernelSpec, dt: float) -> GridState:
     """One deterministic mean-field step with the softened nonlocal kernel.
 
     Strang split: half kinetic, full potential phase with V built from the
@@ -447,13 +431,11 @@ def step_sne_nonlocal(
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    _check_kinetic_resolution(dt, state.dx_grid, constants)
-    half = _dealiased_half_kinetic_factor(
-        state.n, state.dx_grid, float(dt), constants.hbar, constants.mass
-    )
+    _check_kinetic_resolution(dt, state.dx_grid)
+    half = _dealiased_half_kinetic_factor(state.n, state.dx_grid, float(dt))
     psi = sfft.ifft(state._fourier() * half, axis=-1, overwrite_x=True)
     v = mean_field_potential(_abs2(psi), state.dx_grid, kernel)
-    psi *= np.exp(1j * (v * (-dt / constants.hbar)))
+    psi *= np.exp(1j * (v * -dt))
     spectrum = sfft.fft(psi, axis=-1, overwrite_x=True)
     spectrum *= half
     psi = sfft.ifft(spectrum, axis=-1)
@@ -502,8 +484,6 @@ def coherence_series(
     n: int = DEFAULT_N,
     x_min: float = DEFAULT_X_MIN,
     x_max: float = DEFAULT_X_MAX,
-    constants: Constants = Constants(),
-    omega: float = 1.0,
     workers: int = 1,
 ) -> np.ndarray:
     """Normalized ensemble coherence between the two branches at each time.
@@ -529,7 +509,7 @@ def coherence_series(
     if np.any(np.abs(steps_at * dt - times) > 1e-9) or np.any(times < 0):
         raise DomainError("times must be non-negative multiples of dt")
     steps, slot = np.unique(steps_at, return_inverse=True)
-    start = init_cat(cat, n, x_min, x_max, constants)
+    start = init_cat(cat, n, x_min, x_max)
     ell_cells = cat.separation_cells(start.dx_grid)
 
     def overlap(st):
@@ -541,7 +521,7 @@ def coherence_series(
     # (read, trajectory) overlaps of every block
     seg = np.stack(run_batches(
         start.repeated,
-        lambda st, dw: step_quadratic(st, variant, dt, dw, constants, omega),
+        lambda st, dw: step_quadratic(st, variant, dt, dw),
         base_seed, seeds, dt, steps, overlap, workers, n,
     ))
     # branch masses are martingales, so the t=0 weights normalize the mean;

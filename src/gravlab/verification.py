@@ -37,6 +37,7 @@ from .grid_dynamics import (
     coherence_series,
     init_cat,
     init_gaussian,
+    make_axis,
     separation_series,
     step_quadratic,
     step_sne_nonlocal,
@@ -57,9 +58,17 @@ from .noise_field import (
 )
 
 WIDTH2_TARGET = {Variant.SNE: 0.5, Variant.GSSE: 0.5, Variant.SSNE: 2.0**-0.5}
-# criterion 13's box and softened kernel, shared with the attract preset
+# boxes of criteria 13, 11 and 12 and the kernel of 13, shared with the attract and cat presets
 ATTRACT_BOX = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
 ATTRACT_KERNEL = SoftKernelSpec(1.0, 5.0)
+COHERENCE_BOX = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
+COLLAPSE_BOX = {"n": 1024, "x_min": -40.0, "x_max": 40.0}
+
+
+def separation_used(cat: CatState, box: dict) -> float:
+    """The separation the cat readers use on a box: whole cells of its grid."""
+    dx = make_axis(**box)[1]
+    return cat.separation_cells(dx) * dx
 
 
 @dataclasses.dataclass(frozen=True)
@@ -336,20 +345,22 @@ def decay_rate(times, coherence, t_max: float = np.inf) -> float:
 
 def criterion_11(workers: int = 1) -> CriterionResult:
     """Between-branch coherence decays at the dephasing rate, scaling as ell^2."""
-    box = dict(n=2048, x_min=-40.0, x_max=40.0)
+    cats = {1: CatState(6.0 + 0.0j, 1.0), 2: CatState(4.0 + 0.0j, 2.0),
+            4: CatState(4.0 + 0.0j, 4.0)}
+    used = {ell: separation_used(cat, COHERENCE_BOX) for ell, cat in cats.items()}
     c = _Checks()
 
     times_2 = np.round(np.arange(0.0, 0.31, 0.03), 10)
     series = {
         variant: coherence_series(
-            range(1000), CatState(4.0 + 0.0j, 2.0), variant, times_2,
-            base_seed=201, workers=workers, **box,
+            range(1000), cats[2], variant, times_2,
+            base_seed=201, workers=workers, **COHERENCE_BOX,
         )
         for variant in (Variant.GSSE, Variant.SSNE)
     }
     rate_2 = decay_rate(times_2, series[Variant.GSSE], 0.30)
     c.add(abs(rate_2 - 2.0) <= 0.2,
-          f"decay rate at separation 2 = {rate_2:.4f} (2.0 within 10%)")
+          f"decay rate at separation 2 (used {used[2]}) = {rate_2:.4f} (2.0 within 10%)")
     # compare the variants on the earliest resolvable window: the ssne
     # mean-field term slowly contracts the branches, which depresses the
     # measured rate at later times even though the t -> 0 rates agree
@@ -362,21 +373,21 @@ def criterion_11(workers: int = 1) -> CriterionResult:
     times_1 = np.round(np.arange(0.0, 1.21, 0.1), 10)
     rate_1 = decay_rate(
         times_1,
-        coherence_series(range(400), CatState(6.0 + 0.0j, 1.0), Variant.GSSE,
-                         times_1, base_seed=202, workers=workers, **box),
+        coherence_series(range(400), cats[1], Variant.GSSE,
+                         times_1, base_seed=202, workers=workers, **COHERENCE_BOX),
         1.2,
     )
     times_4 = np.round(np.arange(0.0, 0.076, 0.005), 10)
     rate_4 = decay_rate(
         times_4,
-        coherence_series(range(400), CatState(4.0 + 0.0j, 4.0), Variant.GSSE,
-                         times_4, base_seed=203, workers=workers, **box),
+        coherence_series(range(400), cats[4], Variant.GSSE,
+                         times_4, base_seed=203, workers=workers, **COHERENCE_BOX),
         0.075,
     )
-    c.add(abs(rate_2 / rate_1 - 4.0) <= 0.8,
-          f"rate ratio, separation 2 over 1: {rate_2 / rate_1:.3f} (4 within 20%)")
-    c.add(abs(rate_4 / rate_2 - 4.0) <= 0.8,
-          f"rate ratio, separation 4 over 2: {rate_4 / rate_2:.3f} (4 within 20%)")
+    for (hi, lo), ratio in (((2, 1), rate_2 / rate_1), ((4, 2), rate_4 / rate_2)):
+        c.add(abs(ratio - 4.0) <= 0.8,
+              f"rate ratio, separation {hi} over {lo}: {ratio:.3f} (4 within 20%; "
+              f"used {used[hi]} over {used[lo]}, squared {(used[hi] / used[lo]) ** 2:.3f})")
     return c.result(11, "coherence decay rates")
 
 
@@ -387,20 +398,22 @@ def criterion_12(workers: int = 1) -> CriterionResult:
         (8.0, 2e-4, 0.4, 212),
         (16.0, 1e-4, 0.12, 213),
     )
-    stats = {}
+    stats, used = {}, {}
     for ell, dt, t_final, seed in legs:
+        cat = CatState(1.5 + 0.0j, ell)
         records = run_collapse_ensemble(
-            CatState(1.5 + 0.0j, ell), Variant.GSSE, 400, t_final,
-            dt=dt, base_seed=seed, workers=workers,
+            cat, Variant.GSSE, 400, t_final,
+            dt=dt, base_seed=seed, workers=workers, **COLLAPSE_BOX,
         )
         stats[ell] = collapse_time_stats(records)
+        used[ell] = separation_used(cat, COLLAPSE_BOX)
     c = _Checks()
     for ell, _, _, _ in legs:
         median = stats[ell].estimate
         target = 2.0 / ell**2
         c.add(target / 2.0 <= median <= target * 2.0,
-              f"median collapse time at separation {ell:g} = {median:.4f} "
-              f"(within factor 2 of {target:.4g})")
+              f"median collapse time at separation {ell:g} (used {used[ell]}) = "
+              f"{median:.4f} (within factor 2 of {target:.4g})")
     split = stats[4.0].diagnostics.details["winner_fraction_right"]
     c.add(abs(split - 0.5) <= 0.05,
           f"right-branch winner fraction over 400 runs = {split:.3f} "
@@ -408,7 +421,7 @@ def criterion_12(workers: int = 1) -> CriterionResult:
     ratio = stats[4.0].estimate / stats[16.0].estimate
     c.add(8.0 <= ratio <= 32.0,
           f"median ratio across a 4x separation range = {ratio:.2f} "
-          f"(16 within factor 2)")
+          f"(16 within factor 2; used {used[4.0]} to {used[16.0]})")
     return c.result(12, "collapse statistics")
 
 

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from gravlab import __version__, cli
+from gravlab import __version__, cli, verification
 from gravlab.cli import main
 from gravlab.ensemble_stats import SCHEMA_VERSION
+from gravlab.grid_dynamics import CatState
 
 
 def _summary(path):
@@ -121,8 +122,36 @@ class TestErrorPaths:
         rc = main(["verify", "--criteria", "99", "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, got", [
+        (["statics", "--workers=-3"], -3),
+        (["solitons", "--workers=-3"], -3),
+        (["ke-rate", "--workers=-3"], -3),
+        (["verify", "--criteria", "1", "--workers=-3"], -3),
+        (["statics"], -1),
+    ], ids=["statics", "solitons", "ke-rate", "verify", "config-file"])
+    def test_negative_workers_is_a_config_error(self, tmp_path, capsys, argv, got):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = -1\n")
+        out = tmp_path / "out"
+        rc = main([*argv, "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gravlab: config error: workers") and f"got {got}" in err
+        assert not out.exists()
+
 
 class TestConfigResolution:
+    def test_workers_default_to_the_cores_this_process_may_use(self, monkeypatch):
+        def resolved_workers():
+            return cli._resolve(cli.build_parser().parse_args(["statics"]))["workers"]
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert resolved_workers() == 3
+        # platforms without an affinity call fall back to the CPU count
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert resolved_workers() == 64
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -228,6 +257,15 @@ class TestSolitons:
 
 
 class TestCat:
+    def test_separation_used_is_whole_cells_of_each_study_box(self):
+        # 8 / (80 / 1024) = 102.4 cells and 2 / (80 / 2048) = 51.2 cells
+        collapse = verification.separation_used(CatState(1.5 + 0.0j, 8.0),
+                                                verification.COLLAPSE_BOX)
+        coherence = verification.separation_used(CatState(4.0 + 0.0j, 2.0),
+                                                 verification.COHERENCE_BOX)
+        assert collapse == 102 * 80.0 / 1024
+        assert coherence == 51 * 80.0 / 2048
+
     def test_collapse_study_small(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("t_final = 0.3\n")

@@ -145,7 +145,7 @@ class TestRunEnsemble:
         cfg = small_config(variant, n_trajectories=7, t_final=1.0, base_seed=11,
                            initial=initial, record_stride=10)
         records = es.run_ensemble(cfg)
-        a0 = initial.resolve_a(variant, cfg.constants, cfg.omega)
+        a0 = initial.resolve_a(variant)
         start = GaussianState(initial.xbar, initial.pbar, a0)
         times = [k * cfg.dt for k in range(0, cfg.n_steps + 1, cfg.stride)]
         np.testing.assert_array_equal(records.times, times)
@@ -154,14 +154,14 @@ class TestRunEnsemble:
             dws = wiener_increments(cfg.base_seed, j, cfg.n_steps, cfg.dt).increments
             state, samples = start, [start]
             for k, dw in enumerate(dws, start=1):
-                state = step(state, variant, cfg.dt, dw, cfg.constants, cfg.omega)
+                state = step(state, variant, cfg.dt, dw)
                 if k % cfg.stride == 0:
                     samples.append(state)
             ref = {
                 "xbar": [s.xbar for s in samples],
                 "pbar": [s.pbar for s in samples],
                 "delta_x": [np.sqrt(s.delta_x2) for s in samples],
-                "kinetic": [kinetic_energy(s, cfg.constants) for s in samples],
+                "kinetic": [kinetic_energy(s) for s in samples],
                 "a": [s.a for s in samples],
             }
             # row j is trajectory j

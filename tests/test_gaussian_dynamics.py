@@ -21,7 +21,6 @@ from gravlab.gaussian_dynamics import (
     variant_coefficients,
     width_flow_fixed_points,
 )
-from gravlab.model_core import Constants
 from gravlab.noise_field import wiener_increments
 
 SQ2 = math.sqrt(2.0)
@@ -35,22 +34,21 @@ def stepped(state, variant, path):
     return states
 
 
-def riccati_rhs_factory(variant, constants=Constants(), omega=1.0):
+def riccati_rhs_factory(variant):
     """Independent width-flow right-hand side built from (alpha, s) only."""
-    m, hbar = constants.mass, constants.hbar
-    alpha, s = variant_coefficients(variant, constants, omega)
-    gamma = alpha * m * omega**2 / (2.0 * hbar) + 0.5 * s * s
+    alpha, s = variant_coefficients(variant)
+    gamma = alpha / 2.0 + 0.5 * s * s
 
     def rhs(t, y):
         a = y[0] + 1j * y[1]
-        da = gamma - 2j * (hbar / m) * a * a
+        da = gamma - 2j * a * a
         return [da.real, da.imag]
 
     return rhs
 
 
-def integrate_width(variant, a0, t_end, **kwargs):
-    rhs = riccati_rhs_factory(variant, **kwargs)
+def integrate_width(variant, a0, t_end):
+    rhs = riccati_rhs_factory(variant)
     sol = solve_ivp(
         rhs, (0.0, t_end), [a0.real, a0.imag], rtol=1e-12, atol=1e-14, dense_output=True
     )
@@ -84,12 +82,6 @@ class TestSolitonStates:
         if variant is Variant.SNE:
             assert abs(product - 0.5) < 1e-15  # real a: minimal uncertainty
 
-    def test_unit_scaling(self):
-        c = Constants(mass=3.0)
-        s = soliton_state(Variant.GSSE, constants=c, omega=2.0)
-        # delta_x^2 = hbar / (2 M omega)
-        assert abs(s.delta_x2 - 1.0 / 12.0) < 1e-15
-
 
 class TestWidthFlowFixedPoints:
     def test_match_soliton_states(self):
@@ -110,13 +102,6 @@ class TestWidthFlowFixedPoints:
         assert abs(fp.eigenvalue - (-SQ2 - SQ2 * 1j)) < 1e-14
         assert fp.stability == "attracting"
         assert width_flow_fixed_points(Variant.GSSE)[1].stability == "repelling"
-
-    def test_scaling_with_constants(self):
-        c = Constants(mass=2.0, hbar=0.5)
-        fp = width_flow_fixed_points(Variant.GSSE, constants=c, omega=3.0)[0]
-        # a* = (1 - i) M omega / 2 hbar, lambda = -2 (1 + i) omega
-        assert fp.a == complex(6.0, -6.0)
-        assert abs(fp.eigenvalue - (-6.0 - 6.0j)) < 1e-13
 
 
 class TestWidthFlow:
@@ -209,8 +194,7 @@ class TestMeans:
         assert s.a == 0.5 + 0.0j
 
     def test_gsse_soliton_step_coefficients(self):
-        # at the stationary width: dx = (p/M) dt + sqrt(hbar/M) dW,
-        # dp = sqrt(hbar M) omega dW, with the same dW
+        # at the stationary width: dx = p dt + dW, dp = dW, with the same dW
         s0 = GaussianState(0.2, 0.4, soliton_state(Variant.GSSE).a)
         dt, dw = 1e-3, 0.123
         s1 = step(s0, Variant.GSSE, dt, dw)
@@ -297,11 +281,6 @@ class TestKineticEnergy:
         got = kinetic_energy(shifted) - kinetic_energy(s)
         assert abs(got - (2.0 * s.pbar * q + q * q) / 2.0) < 1e-15
 
-    def test_sne_ground_state_value_generic_units(self):
-        c = Constants(mass=2.0, hbar=1.5)
-        ke = kinetic_energy(soliton_state(Variant.SNE, constants=c, omega=3.0), constants=c)
-        assert abs(ke - 1.5 * 3.0 / 4.0) < 1e-14  # hbar omega / 4
-
     def test_vectorized(self):
         a = np.array([0.5 + 0.0j, 0.5 - 0.5j])
         s = GaussianState(np.zeros(2), np.zeros(2), a)
@@ -346,8 +325,3 @@ class TestVariantCoefficients:
         alpha, s = variant_coefficients(Variant.SSNE)
         assert alpha == 1.0 + 1.0j
         assert s.real == -s.imag and abs(s.real - 1.0 / SQ2) < 1e-15
-
-    def test_noise_scale_units(self):
-        c = Constants(mass=4.0)
-        _, s = variant_coefficients(Variant.GSSE, constants=c, omega=3.0)
-        assert abs(s.real - 2.0 * 3.0) < 1e-15  # sqrt(M / hbar) omega

@@ -14,7 +14,6 @@ from gravlab import grid_dynamics as gd
 from gravlab import gaussian_dynamics as gauss
 from gravlab.errors import ContainmentError, DomainError, StatisticsError, StepSizeError
 from gravlab.gaussian_dynamics import Variant, soliton_state
-from gravlab.model_core import Constants
 from gravlab.noise_field import drive, wiener_increments
 
 BIG_BOX = dict(n=2048, x_min=-40.0, x_max=40.0)
@@ -74,13 +73,6 @@ class TestGridStateMoments:
         np.testing.assert_allclose(batch.correlation_xp(),
                                    [s.correlation_xp() for s in singles],
                                    rtol=1e-10, atol=1e-12)
-
-    def test_unit_scaling(self):
-        consts = Constants(hbar=0.5, mass=2.0)
-        st = gd.init_gaussian(0.0, 0.6, 1.0 + 0.0j, constants=consts)
-        assert abs(st.mean_p(consts) - 0.6) < 1e-6
-        expected_dp2 = consts.hbar**2 * 1.0
-        assert abs(st.delta_p2(consts) - expected_dp2) < 1e-6 * expected_dp2
 
 
 class TestInitValidation:
@@ -237,7 +229,7 @@ class TestCollapse:
         assert decided.mean() > 0.95
         assert set(np.unique(winners[decided])) <= {-1, 1}
         median = float(np.median(times[decided]))
-        # first-passage scale is hbar / (M omega_g^2 ell^2 / 2) = 2 / ell^2
+        # first-passage scale is 1 / (ell^2 / 2) = 2 / ell^2
         assert 0.5 * (2.0 / 64.0) < median < 2.0 * (2.0 / 64.0)
         result = es.collapse_time_stats(records, threshold=0.99)
         assert result.estimate == median
@@ -326,7 +318,7 @@ class TestCachedArrays:
     def test_cached_arrays_are_read_only(self):
         arrays = [
             *gd._k_grids(256, 0.1),
-            gd._half_kinetic_factor(256, 0.1, 1e-3, 1.0, 1.0),
+            gd._half_kinetic_factor(256, 0.1, 1e-3),
             gd._dealias_mask(256, 0.1),
             gd._soft_kernel_spectrum(256, 0.1, 1.0, 5.0),
         ]
@@ -338,7 +330,7 @@ class TestCachedArrays:
 
     def test_position_and_dealiased_kinetic_caches(self):
         x, x2 = gd._x_grids(256, 0.1, -12.8)
-        half = gd._dealiased_half_kinetic_factor(256, 0.1, 1e-3, 1.0, 1.0)
+        half = gd._dealiased_half_kinetic_factor(256, 0.1, 1e-3)
         for arr in (x, x2, half):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -346,7 +338,7 @@ class TestCachedArrays:
         # the cached arrays are the bytes of the per-call expressions
         assert x.tobytes() == (-12.8 + 0.1 * np.arange(256)).tobytes()
         assert x2.tobytes() == (x.copy() ** 2).tobytes()
-        product = gd._half_kinetic_factor(256, 0.1, 1e-3, 1.0, 1.0) * gd._dealias_mask(256, 0.1)
+        product = gd._half_kinetic_factor(256, 0.1, 1e-3) * gd._dealias_mask(256, 0.1)
         assert half.tobytes() == product.tobytes()
         assert gd.GridState(np.zeros(256, complex), 0.1, -12.8).x is x
 
@@ -418,13 +410,12 @@ class TestNonlocal:
             gd.step_sne_nonlocal(st, self.kernel, -1e-3)
 
 
-def reference_step_quadratic(state, variant, dt, dw, constants=Constants(), omega=1.0):
+def reference_step_quadratic(state, variant, dt, dw):
     """The four-FFT step with end-of-step floor clipping that the carried
     spectrum replaced, without its guards."""
-    m, hbar = constants.mass, constants.hbar
-    alpha, s = gauss.variant_coefficients(variant, constants, omega)
-    c_loc = -(alpha * m * omega**2 / (2.0 * hbar) + 0.5 * s * s)
-    half = gd._half_kinetic_factor(state.n, state.dx_grid, float(dt), hbar, m)
+    alpha, s = gauss.variant_coefficients(variant)
+    c_loc = -(alpha / 2.0 + 0.5 * s * s)
+    half = gd._half_kinetic_factor(state.n, state.dx_grid, float(dt))
     x, x2 = gd._x_grids(state.n, state.dx_grid, state.x0)
     fft, ifft = np.fft.fft, np.fft.ifft
     psi = ifft(fft(state.amplitudes) * half)
