@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__, verification
 from .ensemble_stats import (
+    COLLAPSE_THRESHOLD,
+    GRID_BOX,
     MIN_RATE_TRAJECTORIES,
     EnsembleConfig,
     estimate_diffusion,
@@ -45,7 +47,6 @@ from .model_core import (
 )
 
 UNITS = "hbar = mass = omega_g = 1"
-COLLAPSE_THRESHOLD = 0.99
 
 # every settings key a config file may set, with its parser
 _KEY_TYPES = {
@@ -102,12 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ensemble size")
     shared.add_argument("--variant", choices=["sne", "gsse", "ssne"], default=None,
                         help="dynamics variant")
-    shared.add_argument("--profile", choices=["uniform", "gaussian"], default=None,
-                        help="mass density profile")
 
     sub = parser.add_subparsers(dest="command", required=True)
     statics = sub.add_parser("statics", parents=[shared],
                              help="frequency, self-energy, and energy-gap tables")
+    statics.add_argument("--profile", choices=["uniform", "gaussian"], default=None,
+                         help="mass density profile")
     statics.add_argument("--radius", type=float, default=None,
                          help="profile size parameter (sphere radius or ball width)")
     sub.add_parser("solitons", parents=[shared],
@@ -310,13 +311,13 @@ def _run_rate(settings: dict, stem: str, estimators) -> tuple:
 def _run_cat(settings: dict) -> tuple:
     out = settings["out_dir"]
     if settings["study"] == "collapse":
-        cat, grid = CatState(1.5 + 0.0j, settings["separation"]), verification.COLLAPSE_BOX
+        cat, grid = CatState(1.5 + 0.0j, settings["separation"]), GRID_BOX
         weights = run_collapse_ensemble(
             cat, settings["variant"], settings["trajectories"],
             settings["t_final"], dt=settings["dt"], base_seed=settings["seed"],
-            workers=settings["workers"], **grid,
+            workers=settings["workers"],
         )
-        stats = collapse_time_stats(weights, threshold=COLLAPSE_THRESHOLD)
+        stats = collapse_time_stats(weights)
         table = out / "cat_weights.csv"
         times = weights.times.tolist()
         rows = [(j, t, w) for j, row in enumerate(weights.weight_left.tolist())

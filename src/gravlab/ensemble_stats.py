@@ -37,8 +37,14 @@ OBSERVABLES = ("xbar", "pbar", "delta_x", "kinetic")
 SOLVERS = ("gaussian", "grid")
 SCHEMA_VERSION = 1
 
-# fit-window and bootstrap policy
+# the grid solver's box, for every grid ensemble here, criterion 5 and the
+# collapse study
+GRID_BOX = {"n": 1024, "x_min": -40.0, "x_max": 40.0}
+
+# fit-window, threshold and bootstrap policy
 TRANSIENT = 5.0  # skipped for non-soliton starts: width relaxation
+COVARIANCE_T_MAX = 0.5  # end of the x-p covariance fit window
+COLLAPSE_THRESHOLD = 0.99  # dominant branch weight that decides a collapse
 N_BOOTSTRAP = 200
 R2_TREND_THRESHOLD = 0.95
 STDERR_FLOOR = 1e-12  # keeps exact-zero estimates from reporting stderr 0
@@ -97,10 +103,6 @@ class EnsembleConfig:
     dt: float = 1e-3
     base_seed: int = 0
     initial: InitialSpec = InitialSpec.soliton()
-    record_stride: int = 0  # 0 picks a stride giving about 200 samples
-    grid_n: int = 1024
-    grid_x_min: float = -40.0
-    grid_x_max: float = 40.0
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
@@ -108,8 +110,6 @@ class EnsembleConfig:
         if self.n_trajectories < 2:
             raise DomainError("need at least 2 trajectories")
         step_count(self.t_final, self.dt)
-        if self.record_stride < 0:
-            raise DomainError("record_stride must be >= 0")
 
     @property
     def n_steps(self) -> int:
@@ -117,8 +117,7 @@ class EnsembleConfig:
 
     @property
     def stride(self) -> int:
-        if self.record_stride:
-            return self.record_stride
+        """Steps between records, for about 200 records per run."""
         return max(1, self.n_steps // 200)
 
 
@@ -158,9 +157,7 @@ def _start_state(config: EnsembleConfig):
     a0 = init.resolve_a(config.variant)
     if config.solver == "gaussian":
         return GaussianState(float(init.xbar), float(init.pbar), a0)
-    return init_gaussian(
-        init.xbar, init.pbar, a0, config.grid_n, config.grid_x_min, config.grid_x_max
-    )
+    return init_gaussian(init.xbar, init.pbar, a0, **GRID_BOX)
 
 
 def _gaussian_moments(st: GaussianState):
@@ -198,7 +195,7 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleRecords:
         # run_batches reject workers < 1
         stepper, moments, workers, n_cells = step, _gaussian_moments, min(workers, 1), None
     else:
-        stepper, moments, n_cells = step_quadratic, _grid_moments, config.grid_n
+        stepper, moments, n_cells = step_quadratic, _grid_moments, GRID_BOX["n"]
     variant, dt = config.variant, config.dt
     steps = range(0, config.n_steps + 1, config.stride)
     reads = run_batches(
@@ -252,17 +249,15 @@ def _window_slice(times, t_lo, t_hi):
     return mask
 
 
-def _rate_window(records, name, what, transient):
+def _rate_window(records, name, what):
     """Fit-window times, the named observable there per trajectory, the window.
 
-    The window runs from the end of the width transient (automatic when
-    transient is None) to the last sample.
+    The window runs from the end of the width transient to the last sample.
     """
     if len(records) < MIN_RATE_TRAJECTORIES:
         raise StatisticsError(f"{what} needs at least {MIN_RATE_TRAJECTORIES} trajectories")
     times, values = records.times, getattr(records, name)
-    if transient is None:
-        transient = _auto_transient(times, records.delta_x)
+    transient = _auto_transient(times, records.delta_x)
     if transient >= times[-1]:
         raise StatisticsError("simulated range does not outlast the width transient")
     mask = _window_slice(times, transient, times[-1])
@@ -302,9 +297,9 @@ def _bootstrap_stderr(matrix, reduce_fn, fit_fn):
     return _spread(np.array([fit_fn(reduce_fn(matrix[d])) for d in draws]))
 
 
-def estimate_ke_rate(records, transient: float | None = None) -> EstimatorResult:
+def estimate_ke_rate(records) -> EstimatorResult:
     """Slope of the ensemble-mean kinetic energy versus time."""
-    t, kin, window = _rate_window(records, "kinetic", "kinetic-energy rate", transient)
+    t, kin, window = _rate_window(records, "kinetic", "kinetic-energy rate")
     series = kin.mean(axis=0)
     if np.ptp(series) == 0.0:
         diag = FitDiagnostics(1.0, False)
@@ -319,7 +314,6 @@ def estimate_diffusion(
     records,
     observable: str,
     variant: Variant | None = None,
-    transient: float | None = None,
 ) -> EstimatorResult:
     """Slope of the ensemble variance of xbar or pbar versus time.
 
@@ -330,7 +324,7 @@ def estimate_diffusion(
     """
     if observable not in ("xbar", "pbar"):
         raise DomainError("diffusion estimator expects observable xbar or pbar")
-    t, sub, window = _rate_window(records, observable, "diffusion fit", transient)
+    t, sub, window = _rate_window(records, observable, "diffusion fit")
     series = sub.var(axis=0, ddof=1)
     name = f"var_{observable}_rate"
     through_origin = variant is Variant.SSNE and observable == "xbar" and window[0] == 0.0
@@ -353,17 +347,17 @@ def estimate_diffusion(
     return EstimatorResult(name, slope, stderr, window, diag)
 
 
-def estimate_xp_covariance(records, t_max: float = 0.5) -> EstimatorResult:
+def estimate_xp_covariance(records) -> EstimatorResult:
     """Leading-order growth rate of Cov(xbar, pbar).
 
-    Fits cov = c1 t + c2 t^2 through the origin on [0, t_max] and reports
-    c1; the quadratic term absorbs the drift-fed covariance growth so the
-    estimate isolates the shared-noise contribution.
+    Fits cov = c1 t + c2 t^2 through the origin on [0, COVARIANCE_T_MAX]
+    and reports c1; the quadratic term absorbs the drift-fed covariance
+    growth so the estimate isolates the shared-noise contribution.
     """
     if len(records) < MIN_RATE_TRAJECTORIES:
         raise StatisticsError(f"covariance fit needs at least {MIN_RATE_TRAJECTORIES} trajectories")
     times, xs, ps = records.times, records.xbar, records.pbar
-    mask = _window_slice(times, 0.0, min(t_max, float(times[-1])))
+    mask = _window_slice(times, 0.0, min(COVARIANCE_T_MAX, float(times[-1])))
     t = times[mask]
 
     def cov_series(xm, pm):
@@ -415,12 +409,9 @@ def run_collapse_ensemble(
     t_final: float,
     dt: float = 1e-3,
     base_seed: int = 0,
-    n: int = 1024,
-    x_min: float = -40.0,
-    x_max: float = 40.0,
     workers: int = 1,
 ) -> BranchWeights:
-    """Grid cat ensemble recording every trajectory's branch weights.
+    """Grid cat ensemble on GRID_BOX recording every trajectory's branch weights.
 
     Weights are identical whatever ``workers`` says: the trajectories are
     stepped in cache-sized blocks by ``noise_field.run_batches``, on
@@ -431,28 +422,26 @@ def run_collapse_ensemble(
         raise DomainError("need at least 2 trajectories")
     n_steps = step_count(t_final, dt)
     weights = run_batches(
-        lambda rows: init_cat(cat, n, x_min, x_max).repeated(rows),
+        lambda rows: init_cat(cat, **GRID_BOX).repeated(rows),
         lambda st, dw: step_quadratic(st, variant, dt, dw),
         base_seed, range(n_trajectories), dt, range(1, n_steps + 1),
-        lambda st: branch_split_weights(st, cat), workers, n,
+        lambda st: branch_split_weights(st, cat), workers, GRID_BOX["n"],
     )
     return BranchWeights(dt * np.arange(1, n_steps + 1), np.stack(weights, axis=1))
 
 
-def collapse_time_stats(records, threshold: float = 0.99) -> EstimatorResult:
-    """Median first-passage time of the dominant branch weight.
+def collapse_time_stats(records) -> EstimatorResult:
+    """Median first-passage time of the dominant branch weight to COLLAPSE_THRESHOLD.
 
     The estimate is the median over decided trajectories with a bootstrap
     confidence interval; diagnostics carry the winner split, its binomial
     error, and the censored count.  More than 20% censored trajectories
     make the median untrustworthy and raise StatisticsError.
     """
-    if not 0.5 < threshold < 1.0:
-        raise DomainError("threshold must lie in (0.5, 1)")
     if len(records) < 2:
         raise StatisticsError("need at least 2 trajectories")
     w = records.weight_left
-    hit = np.maximum(w, 1.0 - w) >= threshold
+    hit = np.maximum(w, 1.0 - w) >= COLLAPSE_THRESHOLD
     rows = np.flatnonzero(hit.any(axis=1))
     first = hit[rows].argmax(axis=1)  # argmax would read 0 on an undecided row
     censored = len(records) - rows.size
@@ -488,8 +477,8 @@ def _float_reprs(values) -> list[str]:
     return list(map(repr, map(float, np.asarray(values).tolist())))
 
 
-def write_records_csv(records: EnsembleRecords, path, observables=OBSERVABLES) -> None:
-    """Long-format dump: one row per (trajectory, time, observable).
+def write_records_csv(records: EnsembleRecords, path) -> None:
+    """Long-format dump: one row per (trajectory, time, observable in OBSERVABLES).
 
     Writes the bytes a ``csv.writer`` row loop would (CRLF line ends,
     ``repr(float(v))`` digits; observable names are attribute names, so no
@@ -497,12 +486,12 @@ def write_records_csv(records: EnsembleRecords, path, observables=OBSERVABLES) -
     block as one string.  Times are formatted once.
     """
     times = _float_reprs(records.times)
-    heads = {name: [f"{t},{name}," for t in times] for name in observables}
+    heads = {name: [f"{t},{name}," for t in times] for name in OBSERVABLES}
     with open(path, "w", newline="") as fh:
         fh.write("trajectory,time,observable,value\r\n")
         for j in range(len(records)):
             lead = f"{j},"
-            for name in observables:
+            for name in OBSERVABLES:
                 rows = map(str.__add__, heads[name], _float_reprs(getattr(records, name)[j]))
                 fh.write(lead + ("\r\n" + lead).join(rows) + "\r\n")
 

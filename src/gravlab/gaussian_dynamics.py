@@ -70,7 +70,7 @@ def _stationary_a(variant: Variant) -> complex:
 
 @functools.lru_cache(maxsize=128)
 def _step_coefficients(variant: Variant, dt: float):
-    """Constants of the exact width map and the mean-update noise weights."""
+    """Fixed coefficients of the exact width map and the mean-update noise weights."""
     if variant is Variant.SNE:
         c0 = complex(0.0, 0.5)
     elif variant is Variant.GSSE:
@@ -185,4 +185,6 @@ def width_flow_fixed_points(variant: Variant) -> tuple[FixedPoint, ...]:
 
 def kinetic_energy(state: GaussianState):
     """<p^2> / 2 per axis: [pbar^2 + |a|^2 / Re a] / 2."""
-    return (state.pbar**2 + state.delta_p2()) / 2.0
+    # pbar * pbar, not pbar**2: a scalar ** goes through libm pow, which can
+    # round one ulp away from the product that numpy's array square takes
+    return (state.pbar * state.pbar + state.delta_p2()) / 2.0

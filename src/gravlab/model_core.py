@@ -1,16 +1,16 @@
 """Static gravitational kernels for rigid spherical mass distributions.
 
-A point particle of mass M is smeared with a normalized profile f (uniform
-sphere or Gaussian ball).  Everything downstream is controlled by three
-numbers derived from f:
+A point particle is smeared with a normalized profile f (uniform sphere or
+Gaussian ball).  Units are natural, G = hbar = M = 1, and everything
+downstream is controlled by three numbers derived from f:
 
-* the trap frequency omega_g, with omega_g^2 = (4 pi / 3) G M int f^2,
+* the trap frequency omega_g, with omega_g^2 = (4 pi / 3) int f^2,
 * the (negative) Newtonian self-energy E_G,
 * the pair potential U(d) between two copies of the profile held at
   center-to-center distance d.
 
-U(0) = 2 E_G, U''(0) = M omega_g^2, and the energy gap
-delta_e_g(l) = U(l) - U(0) interpolates between (1/2) M omega_g^2 l^2 at
+U(0) = 2 E_G, U''(0) = omega_g^2, and the energy gap
+delta_e_g(l) = U(l) - U(0) interpolates between (1/2) omega_g^2 l^2 at
 small l and -2 E_G at large l.  All integrals reduce to one-dimensional
 adaptive quadrature because the profiles are spherical.
 """
@@ -35,20 +35,6 @@ NORMALIZATION_TOL = 1e-8
 QUADRATIC_DOMAIN_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Dimensional constants of a run.  Defaults give natural units."""
-
-    G: float = 1.0
-    hbar: float = 1.0
-    mass: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("G", "hbar", "mass"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"constant {name} must be positive")
-
-
 class ProfileKind(enum.Enum):
     UNIFORM_SPHERE = "uniform_sphere"
     GAUSSIAN_BALL = "gaussian_ball"
@@ -60,19 +46,18 @@ class MassProfile:
 
     kind: ProfileKind
     size: float  # radius R for the sphere, width sigma for the Gaussian
-    constants: Constants = Constants()
 
     def __post_init__(self) -> None:
         if not self.size > 0:
             raise InvalidProfileError("profile size must be positive")
 
     @classmethod
-    def uniform_sphere(cls, radius: float, constants: Constants = Constants()) -> "MassProfile":
-        return cls(ProfileKind.UNIFORM_SPHERE, radius, constants)
+    def uniform_sphere(cls, radius: float) -> "MassProfile":
+        return cls(ProfileKind.UNIFORM_SPHERE, radius)
 
     @classmethod
-    def gaussian_ball(cls, width: float, constants: Constants = Constants()) -> "MassProfile":
-        return cls(ProfileKind.GAUSSIAN_BALL, width, constants)
+    def gaussian_ball(cls, width: float) -> "MassProfile":
+        return cls(ProfileKind.GAUSSIAN_BALL, width)
 
     # -- radial building blocks ------------------------------------------
 
@@ -152,7 +137,7 @@ class MassProfile:
 class QuadraticCoefficients:
     """Coefficients of the small-displacement expansion of the pair potential:
     U(d) ~ offset + 0.5 * curvature * d^2 with offset = 2 E_G and
-    curvature = M omega_g^2."""
+    curvature = omega_g^2."""
 
     offset: float
     curvature: float
@@ -171,39 +156,37 @@ class QuadraticCheckResult:
 
 @functools.lru_cache(maxsize=64)
 def omega_g(profile: MassProfile) -> float:
-    """Trap/collapse frequency of the profile, omega_g = sqrt((4pi/3) G M int f^2).
+    """Trap/collapse frequency of the profile, omega_g = sqrt((4pi/3) int f^2).
 
     The density-squared integral is evaluated by adaptive radial quadrature;
     the profile normalization is re-checked the same way first.  Profiles
-    are frozen, so the value is cached per profile (constants included).
+    are frozen, so the value is cached per profile.
     """
     profile._require_normalized()
-    c = profile.constants
     f2, _ = integrate.quad(
         lambda r: 4.0 * math.pi * r**2 * profile.density(r) ** 2,
         0.0,
         profile.radial_cutoff(),
         limit=200,
     )
-    return math.sqrt(4.0 * math.pi / 3.0 * c.G * c.mass * f2)
+    return math.sqrt(4.0 * math.pi / 3.0 * f2)
 
 
 @functools.lru_cache(maxsize=64)
 def self_energy(profile: MassProfile) -> float:
-    """Newtonian self-energy E_G = -(G M^2 / 2) int int f f / |r - s|.
+    """Newtonian self-energy E_G = -(1/2) int int f f / |r - s|.
 
-    Uses the shell-theorem reduction: E_G = -(G M^2 / 2) int f(r) psi(r) d^3r
+    Uses the shell-theorem reduction: E_G = -(1/2) int f(r) psi(r) d^3r
     with psi the profile's own unit potential.  Cached per profile, like
     omega_g.
     """
-    c = profile.constants
     val, _ = integrate.quad(
         lambda r: 4.0 * math.pi * r**2 * profile.density(r) * profile.unit_potential(r),
         0.0,
         profile.radial_cutoff(),
         limit=200,
     )
-    return -0.5 * c.G * c.mass**2 * val
+    return -0.5 * val
 
 
 def mutual_potential(profile: MassProfile, d: float) -> float:
@@ -211,12 +194,11 @@ def mutual_potential(profile: MassProfile, d: float) -> float:
 
     For spherical densities the 6D Coulomb integral collapses to a single
     radial quadrature over the bipolar kernel
-        U(d) = -(G M^2) (2 pi / d) int u f(u) [W(d+u) - W(|d-u|)] du
+        U(d) = -(2 pi / d) int u f(u) [W(d+u) - W(|d-u|)] du
     where W is the antiderivative of psi(w) w.  U(0) = 2 E_G.
     """
     if d < 0:
         raise DomainError("separation must be non-negative")
-    c = profile.constants
     if d == 0.0:
         return 2.0 * self_energy(profile)
     W = profile._potential_antiderivative
@@ -230,13 +212,13 @@ def mutual_potential(profile: MassProfile, d: float) -> float:
         p for p in (profile.size, abs(d - profile.size), d) if 0.0 < p < cutoff
     )
     val, _ = integrate.quad(integrand, 0.0, cutoff, points=pts or None, limit=200)
-    return -c.G * c.mass**2 * 2.0 * math.pi / d * val
+    return -2.0 * math.pi / d * val
 
 
 def delta_e_g(profile: MassProfile, ell: float) -> float:
     """Energy gap delta E_G(l) = U(l) - U(0) of a two-branch superposition.
 
-    Vanishes quadratically at small l with curvature M omega_g^2 and
+    Vanishes quadratically at small l with curvature omega_g^2 and
     saturates at -2 E_G once the branches no longer overlap.
     """
     if ell < 0:
@@ -248,10 +230,9 @@ def delta_e_g(profile: MassProfile, ell: float) -> float:
 
 def quadratic_coefficients(profile: MassProfile) -> QuadraticCoefficients:
     """Expansion coefficients of U(d) around d = 0."""
-    c = profile.constants
     return QuadraticCoefficients(
         offset=2.0 * self_energy(profile),
-        curvature=c.mass * omega_g(profile) ** 2,
+        curvature=omega_g(profile) ** 2,
     )
 
 
@@ -261,15 +242,14 @@ def quadratic_potential_check(profile: MassProfile, dx: float) -> QuadraticCheck
     For an isotropic Gaussian position spread dx (per-axis standard
     deviation), the exact expectation of the mean-field potential is the
     Coulomb self-overlap of the smeared profile g = f * q,
-        <V> = -(G M^2) (2/pi) int |f_hat(k)|^2 exp(-dx^2 k^2) dk,
-    while the quadratic model predicts 2 E_G + 0.5 M omega_g^2 <x_c^2>
+        <V> = -(2/pi) int |f_hat(k)|^2 exp(-dx^2 k^2) dk,
+    while the quadratic model predicts 2 E_G + 0.5 omega_g^2 <x_c^2>
     with <x_c^2> = 3 dx^2.  Returns both values and their relative gap.
     The expansion drops a state-dependent scalar term, so the gap closes
     like dx^2 rather than dx^4.
     """
     if dx < 0:
         raise DomainError("spread must be non-negative")
-    c = profile.constants
     coeff = quadratic_coefficients(profile)
 
     def integrand(k: float) -> float:
@@ -277,7 +257,7 @@ def quadratic_potential_check(profile: MassProfile, dx: float) -> QuadraticCheck
 
     kmax = 60.0 / profile.size + (8.0 / dx if dx > 0 else 0.0)
     val, _ = integrate.quad(integrand, 0.0, kmax, limit=400)
-    exact = -c.G * c.mass**2 * (2.0 / math.pi) * val
+    exact = -(2.0 / math.pi) * val
     quadratic = coeff.offset + 0.5 * coeff.curvature * 3.0 * dx**2
     rel = abs(exact - quadratic) / abs(exact)
     return QuadraticCheckResult(

@@ -12,11 +12,11 @@ Three layers:
   the trajectories into such batches over worker threads and joins the
   reads of every batch in trajectory order.
 * sample_phi_field: a real random potential on a periodic 3D grid with
-  spatial covariance G hbar / |r - s| per unit time.  A sample carries its
-  unit white noise per cell, eta; the field itself is synthesized
-  spectrally on the first read of .values: the rfftn of eta times one
-  cached amplitude filter, sqrt(4 pi G hbar / k^2) / h^1.5 with the uniform
-  mode removed.
+  spatial covariance 1 / |r - s| per unit time (G = hbar = M = 1).  A
+  sample carries its unit white noise per cell, eta; the field itself is
+  synthesized spectrally on the first read of .values: the rfftn of eta
+  times one cached amplitude filter, sqrt(4 pi / k^2) / h^1.5 with the
+  uniform mode removed.
 * reduce_phi_to_w: projection of the field onto the gradient of a mass
   profile.  The resulting 3-vector has identity covariance per unit time,
   which is what the packet-level solvers consume.
@@ -42,7 +42,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import DomainError, GravlabError, ResolutionError
-from .model_core import Constants, MassProfile, omega_g
+from .model_core import MassProfile, omega_g
 
 _MASK64 = (1 << 64) - 1
 
@@ -264,14 +264,14 @@ def _k_arrays(n: int, h: float):
 
 
 @functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
-def _amplitude_filter(n: int, h: float, G: float, hbar: float) -> np.ndarray:
+def _amplitude_filter(n: int, h: float) -> np.ndarray:
     """sample_phi_field's filter on the rfftn of unit normals per cell.
 
-    sqrt(4 pi G hbar / k^2) / h^1.5, zero at k = 0; the h^-1.5 makes each
-    normal the white noise of a cell of volume h^3.
+    sqrt(4 pi / k^2) / h^1.5, zero at k = 0; the h^-1.5 makes each normal
+    the white noise of a cell of volume h^3.
     """
     k2, _, _ = _k_arrays(n, h)
-    amp = np.sqrt(4.0 * math.pi * G * hbar / np.where(k2 > 0, k2, 1.0)) / h**1.5
+    amp = np.sqrt(4.0 * math.pi / np.where(k2 > 0, k2, 1.0)) / h**1.5
     amp[0, 0, 0] = 0.0
     amp.flags.writeable = False
     return amp
@@ -285,7 +285,7 @@ class PhiFieldSample:
     read, kept and read-only, and reduce_phi_to_w reads only noise.
     """
 
-    __slots__ = ("grid", "dt", "base_seed", "sample_index", "constants", "noise", "_values")
+    __slots__ = ("grid", "dt", "base_seed", "sample_index", "noise", "_values")
 
     def __init__(
         self,
@@ -294,7 +294,6 @@ class PhiFieldSample:
         values: np.ndarray | None,
         base_seed: int,
         sample_index: int,
-        constants: Constants,
         noise: np.ndarray | None = None,
     ) -> None:
         if (values is None) == (noise is None):
@@ -303,7 +302,6 @@ class PhiFieldSample:
         self.dt = dt
         self.base_seed = base_seed
         self.sample_index = sample_index
-        self.constants = constants
         self.noise = noise
         self._values = values
 
@@ -312,9 +310,8 @@ class PhiFieldSample:
         # a plain attribute check, not functools.cached_property: on Python
         # 3.10 and 3.11 its lock is shared by every instance
         if self._values is None:
-            c = self.constants
             spec = sfft.rfftn(self.noise)
-            spec *= _amplitude_filter(self.grid.n, self.grid.h, c.G, c.hbar)
+            spec *= _amplitude_filter(self.grid.n, self.grid.h)
             vals = sfft.irfftn(spec, s=(self.grid.n,) * 3, overwrite_x=True)
             vals *= math.sqrt(self.dt)
             vals.flags.writeable = False  # a write here would not move the kick
@@ -339,12 +336,11 @@ def sample_phi_field(
     dt: float,
     base_seed: int,
     sample_index: int = 0,
-    constants: Constants = Constants(),
 ) -> PhiFieldSample:
-    """One field sample with covariance G hbar / |r - s| * dt.
+    """One field sample with covariance dt / |r - s|.
 
     Draws the sample's white noise per cell now, so bad arguments raise
-    here; the field, that noise filtered with sqrt(4 pi G hbar / k^2), is
+    here; the field, that noise filtered with sqrt(4 pi / k^2), is
     built only when .values is read.  The k = 0 mode is dropped (only
     gradients of the field are ever observed, so the uniform component is
     unphysical).
@@ -353,7 +349,7 @@ def sample_phi_field(
         raise DomainError("dt must be positive")
     eta = _white_noise(grid, base_seed, sample_index)
     eta.flags.writeable = False  # its kick and its values must stay one sample
-    return PhiFieldSample(grid, dt, None, base_seed, sample_index, constants, noise=eta)
+    return PhiFieldSample(grid, dt, None, base_seed, sample_index, noise=eta)
 
 
 def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
@@ -387,11 +383,10 @@ def _check_resolution(grid: FieldGrid, profile: MassProfile) -> None:
 
 
 def _projection_rows(profile: MassProfile, grid: FieldGrid, spec: np.ndarray) -> np.ndarray:
-    """(3, n^3) read-only rows sqrt(M / hbar) / omega_g h^3 irfftn(i k_a spec)."""
-    c = profile.constants
+    """(3, n^3) read-only rows h^3 / omega_g irfftn(i k_a spec)."""
     n = grid.n
     _, kxd, kzd = _k_arrays(n, grid.h)
-    pref = math.sqrt(c.mass / c.hbar) / omega_g(profile) * grid.h**3
+    pref = 1.0 / omega_g(profile) * grid.h**3
     rows = np.empty((3, n**3))
     for row, k in zip(rows, (kxd[:, None, None], kxd[None, :, None], kzd[None, None, :])):
         grad = sfft.irfftn((1j * k) * spec, s=(n,) * 3, overwrite_x=True)
@@ -404,21 +399,19 @@ def _projection_rows(profile: MassProfile, grid: FieldGrid, spec: np.ndarray) ->
 def _gradient_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
     """(3, n^3) real filter D with reduce_phi_to_w(field) = D @ field values.
 
-    Row a is the profile gradient sqrt(M / hbar) / omega_g h^3 (d_a f)(r -
-    center), taken spectrally as irfftn(i k_a f_hat): the sharp edge of the
-    uniform-sphere profile never needs a real-space derivative.
+    Row a is the profile gradient h^3 / omega_g (d_a f)(r - center), taken
+    spectrally as irfftn(i k_a f_hat): the sharp edge of the uniform-sphere
+    profile never needs a real-space derivative.
     """
     return _projection_rows(profile, grid, _profile_spectrum(profile, grid, center))
 
 
 @functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
-def _kick_filter(
-    profile: MassProfile, grid: FieldGrid, center: tuple, G: float, hbar: float
-) -> np.ndarray:
+def _kick_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
     # the amplitude filter is real and even in k, so filtering the noise and
     # projecting equals projecting onto the filtered gradient rows; built
     # from the spectrum, not from D, so a field loop caches one (3, n^3) array
-    amp = _amplitude_filter(grid.n, grid.h, G, hbar)
+    amp = _amplitude_filter(grid.n, grid.h)
     return _projection_rows(profile, grid, amp * _profile_spectrum(profile, grid, center))
 
 
@@ -430,17 +423,15 @@ def kick_filter(
     grid: FieldGrid,
     profile: MassProfile,
     center: tuple = (0.0, 0.0, 0.0),
-    constants: Constants = Constants(),
 ) -> np.ndarray:
     """(3, n^3) filter G from a field sample's white noise to its kick.
 
-    reduce_phi_to_w of a sample drawn with these constants is
-    sqrt(dt) G @ eta for the sample's unit normals eta, so G G^T is the
-    exact covariance of the kick per unit time on this lattice.  Cached and
-    read-only.
+    reduce_phi_to_w of a sample is sqrt(dt) G @ eta for the sample's unit
+    normals eta, so G G^T is the exact covariance of the kick per unit time
+    on this lattice.  Cached and read-only.
     """
     _check_resolution(grid, profile)
-    return _kick_filter(profile, grid, _center_key(center), constants.G, constants.hbar)
+    return _kick_filter(profile, grid, _center_key(center))
 
 
 def reduce_phi_to_w(
@@ -451,7 +442,7 @@ def reduce_phi_to_w(
     """Project a field sample onto the profile gradient around `center`.
 
     Returns the 3-vector
-        w_a = sqrt(M / hbar) / omega_g * int (d_a f)(r - center) Phi(r) d^3r
+        w_a = 1 / omega_g * int (d_a f)(r - center) Phi(r) d^3r
     carrying the sample's sqrt(dt) scaling, i.e. a Wiener increment with
     identity covariance per unit time.  A sample from sample_phi_field
     carries its white noise eta, and its kick is sqrt(dt) G @ eta through
@@ -461,7 +452,7 @@ def reduce_phi_to_w(
     """
     grid = field.grid
     if field.noise is not None:
-        g = kick_filter(grid, profile, center, field.constants)
+        g = kick_filter(grid, profile, center)
         return math.sqrt(field.dt) * (g @ field.noise.ravel())
     _check_resolution(grid, profile)
     d = _gradient_filter(profile, grid, _center_key(center))

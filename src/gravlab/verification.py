@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble_stats import (
+    GRID_BOX,
     EnsembleConfig,
     InitialSpec,
     estimate_diffusion,
@@ -58,11 +59,11 @@ from .noise_field import (
 )
 
 WIDTH2_TARGET = {Variant.SNE: 0.5, Variant.GSSE: 0.5, Variant.SSNE: 2.0**-0.5}
-# boxes of criteria 13, 11 and 12 and the kernel of 13, shared with the attract and cat presets
+# boxes of criteria 13 and 11 and the kernel of 13, shared with the attract
+# and cat presets; criteria 5 and 12 run on the grid ensembles' GRID_BOX
 ATTRACT_BOX = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
 ATTRACT_KERNEL = SoftKernelSpec(1.0, 5.0)
 COHERENCE_BOX = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
-COLLAPSE_BOX = {"n": 1024, "x_min": -40.0, "x_max": 40.0}
 
 
 def separation_used(cat: CatState, box: dict) -> float:
@@ -402,11 +403,10 @@ def criterion_12(workers: int = 1) -> CriterionResult:
     for ell, dt, t_final, seed in legs:
         cat = CatState(1.5 + 0.0j, ell)
         records = run_collapse_ensemble(
-            cat, Variant.GSSE, 400, t_final,
-            dt=dt, base_seed=seed, workers=workers, **COLLAPSE_BOX,
+            cat, Variant.GSSE, 400, t_final, dt=dt, base_seed=seed, workers=workers,
         )
         stats[ell] = collapse_time_stats(records)
-        used[ell] = separation_used(cat, COLLAPSE_BOX)
+        used[ell] = separation_used(cat, GRID_BOX)
     c = _Checks()
     for ell, _, _, _ in legs:
         median = stats[ell].estimate

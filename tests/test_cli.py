@@ -8,7 +8,7 @@ import pytest
 
 from gravlab import __version__, cli, verification
 from gravlab.cli import main
-from gravlab.ensemble_stats import SCHEMA_VERSION
+from gravlab.ensemble_stats import GRID_BOX, SCHEMA_VERSION
 from gravlab.grid_dynamics import CatState
 
 
@@ -121,6 +121,14 @@ class TestErrorPaths:
     def test_verify_unknown_criterion_number(self, tmp_path, capsys):
         rc = main(["verify", "--criteria", "99", "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_profile_is_a_statics_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["ke-rate", "--profile", "gaussian", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --profile gaussian" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, got", [
         (["statics", "--workers=-3"], -3),
@@ -259,8 +267,7 @@ class TestSolitons:
 class TestCat:
     def test_separation_used_is_whole_cells_of_each_study_box(self):
         # 8 / (80 / 1024) = 102.4 cells and 2 / (80 / 2048) = 51.2 cells
-        collapse = verification.separation_used(CatState(1.5 + 0.0j, 8.0),
-                                                verification.COLLAPSE_BOX)
+        collapse = verification.separation_used(CatState(1.5 + 0.0j, 8.0), GRID_BOX)
         coherence = verification.separation_used(CatState(4.0 + 0.0j, 2.0),
                                                  verification.COHERENCE_BOX)
         assert collapse == 102 * 80.0 / 1024

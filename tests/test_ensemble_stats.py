@@ -1,6 +1,7 @@
 """Ensemble harness checks: reproducible seeding, worker invariance, the
 drift/diffusion/first-passage estimators, and the CSV/JSON emitters."""
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -84,22 +85,19 @@ class TestRunEnsemble:
         assert records_equal(serial, threaded)
 
     def test_grid_worker_count_does_not_change_records(self):
-        cfg = small_config(
-            Variant.GSSE, solver="grid", n_trajectories=6, t_final=0.05,
-            grid_n=512, grid_x_min=-20.0, grid_x_max=20.0,
-        )
+        cfg = small_config(Variant.GSSE, solver="grid", n_trajectories=6, t_final=0.05)
         serial = es.run_ensemble(cfg, workers=1)
         threaded = es.run_ensemble(cfg, workers=2)
         assert records_equal(serial, threaded)
 
     def test_records_are_finite_and_on_schedule(self):
-        cfg = small_config(Variant.GSSE, record_stride=100)
+        cfg = small_config(Variant.GSSE)  # 500 steps: a record every 2nd step
         records = es.run_ensemble(cfg)
-        np.testing.assert_allclose(records.times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        np.testing.assert_array_equal(records.times, [k * 1e-3 for k in range(0, 501, 2)])
         assert records.times[0] == 0.0
         for name in ("xbar", "pbar", "delta_x", "kinetic", "a"):
             values = getattr(records, name)
-            assert values.shape == (20, 6)
+            assert values.shape == (20, 251)
             # one C-ordered row per trajectory
             assert values.flags.c_contiguous
             assert np.all(np.isfinite(values))
@@ -107,7 +105,7 @@ class TestRunEnsemble:
         np.testing.assert_allclose(records.delta_x, np.sqrt(0.5), rtol=1e-12)
 
     def test_returned_arrays_are_read_only(self):
-        records = es.run_ensemble(small_config(Variant.GSSE, record_stride=100))
+        records = es.run_ensemble(small_config(Variant.GSSE))
         for name in ("times", "xbar", "pbar", "delta_x", "kinetic", "a"):
             values = getattr(records, name)
             assert not values.flags.writeable
@@ -116,7 +114,7 @@ class TestRunEnsemble:
 
     def test_solvers_agree_trajectory_by_trajectory(self):
         shared = dict(variant=Variant.GSSE, n_trajectories=4, t_final=0.2,
-                      dt=1e-3, base_seed=9, record_stride=200)
+                      dt=1e-3, base_seed=9)
         gauss = es.run_ensemble(es.EnsembleConfig(solver="gaussian", **shared))
         grid = es.run_ensemble(es.EnsembleConfig(solver="grid", **shared))
         for name in ("xbar", "pbar", "delta_x"):
@@ -126,8 +124,7 @@ class TestRunEnsemble:
     def test_solver_failure_names_the_trajectory(self):
         cfg = small_config(
             Variant.GSSE, solver="grid", n_trajectories=3, t_final=0.01,
-            grid_n=512, grid_x_min=-20.0, grid_x_max=20.0,
-            initial=es.InitialSpec.soliton(xbar=17.0),
+            initial=es.InitialSpec.soliton(xbar=37.0),  # 3 from the edge of GRID_BOX
         )
         with pytest.raises(ContainmentError, match="trajectory 0"):
             es.run_ensemble(cfg)
@@ -143,7 +140,7 @@ class TestRunEnsemble:
     ])
     def test_shared_width_matches_single_trajectory_runs(self, variant, initial):
         cfg = small_config(variant, n_trajectories=7, t_final=1.0, base_seed=11,
-                           initial=initial, record_stride=10)
+                           initial=initial)
         records = es.run_ensemble(cfg)
         a0 = initial.resolve_a(variant)
         start = GaussianState(initial.xbar, initial.pbar, a0)
@@ -202,9 +199,13 @@ class TestKineticEnergyRate:
         )
         records = es.run_ensemble(cfg)
         result = es.estimate_ke_rate(records)
-        assert result.window[0] == 5.0
-        with pytest.raises(StatisticsError):
-            es.estimate_ke_rate(records, transient=9.0)
+        assert result.window[0] == es.TRANSIENT == 5.0
+        # a run that ends with the transient leaves nothing to fit
+        short = es.run_ensemble(dataclasses.replace(cfg, t_final=es.TRANSIENT))
+        with pytest.raises(StatisticsError, match="does not outlast the width transient"):
+            es.estimate_ke_rate(short)
+        with pytest.raises(StatisticsError, match="does not outlast the width transient"):
+            es.estimate_diffusion(short, "pbar", Variant.GSSE)
 
 
 class TestDiffusion:
@@ -290,7 +291,7 @@ def synthetic_branch_weights(rows=4):
 class TestCollapseStats:
     def test_synthetic_first_passage(self):
         records = synthetic_branch_weights(3)
-        result = es.collapse_time_stats(records, threshold=0.99)
+        result = es.collapse_time_stats(records)
         assert result.estimate == pytest.approx(0.5)
         details = result.diagnostics.details
         assert details["n_censored"] == 0
@@ -300,11 +301,7 @@ class TestCollapseStats:
     def test_censoring_budget(self):
         records = synthetic_branch_weights()  # one of four undecided: 25%
         with pytest.raises(StatisticsError):
-            es.collapse_time_stats(records, threshold=0.99)
-
-    def test_threshold_validation(self):
-        with pytest.raises(DomainError):
-            es.collapse_time_stats(synthetic_branch_weights(), threshold=0.3)
+            es.collapse_time_stats(records)
 
     def test_first_sample_threshold_and_undecided_rows(self):
         times = 0.1 * np.arange(1, 6)
@@ -314,7 +311,7 @@ class TestCollapseStats:
         weights[2, 1:] = 0.005  # decided right at step 2
         # row 3 and up: decided right at step 5; the last row stays undecided
         weights[3:9, 4] = 0.001
-        result = es.collapse_time_stats(es.BranchWeights(times, weights), threshold=0.99)
+        result = es.collapse_time_stats(es.BranchWeights(times, weights))
         details = result.diagnostics.details
         # an undecided row is censored, not read as a passage at the first sample
         assert details["n_censored"] == 1
@@ -332,7 +329,7 @@ class TestCollapseStats:
         )
         assert len(records) == 60
         assert records.weight_left.shape == (60, 2000)
-        result = es.collapse_time_stats(records, threshold=0.99)
+        result = es.collapse_time_stats(records)
         # first-passage scale 2 / ell^2 = 0.03125 for ell = 8
         assert 0.5 * 0.03125 < result.estimate < 2.0 * 0.03125
         details = result.diagnostics.details
@@ -343,7 +340,7 @@ class TestCollapseStats:
         cat = CatState(1.5 + 0.0j, 4.0)
         runs = [
             es.run_collapse_ensemble(cat, Variant.GSSE, 5, 0.01, dt=5e-4, base_seed=3,
-                                     n=256, x_min=-10.0, x_max=10.0, workers=w)
+                                     workers=w)
             for w in (1, 2, 3)
         ]
         for records in runs[1:]:
@@ -353,7 +350,7 @@ class TestCollapseStats:
 
     def test_returned_arrays_are_read_only(self):
         records = es.run_collapse_ensemble(CatState(1.5 + 0.0j, 4.0), Variant.GSSE, 2, 0.002,
-                                           dt=5e-4, n=256, x_min=-10.0, x_max=10.0)
+                                           dt=5e-4)
         for values in (records.times, records.weight_left):
             assert not values.flags.writeable
             with pytest.raises(ValueError):
@@ -361,12 +358,11 @@ class TestCollapseStats:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_collapse_failure_names_the_trajectory(self, workers):
-        # contained at the start (6 packet widths), but the branch tails
-        # reach the box edge after one step
-        cat = CatState(1.5 + 0.0j, 14.0)
+        # contained at the start (6 packet widths, 3 from the edges of
+        # GRID_BOX), but the branch tails reach the box edge after one step
+        cat = CatState(1.5 + 0.0j, 74.0)
         with pytest.raises(ContainmentError, match="trajectory 0"):
-            es.run_collapse_ensemble(cat, Variant.GSSE, 4, 0.01, dt=5e-4,
-                                     n=256, x_min=-10.0, x_max=10.0, workers=workers)
+            es.run_collapse_ensemble(cat, Variant.GSSE, 4, 0.01, dt=5e-4, workers=workers)
 
 
 class TestBlocks:
@@ -385,19 +381,18 @@ class TestBlocks:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batches_bounded_and_cover_every_trajectory(self, batches, workers):
-        n, n_traj = 512, 300  # 128 rows per block, so three blocks
-        box = dict(n=n, x_min=-10.0, x_max=10.0)
+        n_traj = 300  # three blocks of 128 rows at 512 cells, five of 64 at 1024
         runs = [
-            lambda: gd.coherence_series(range(n_traj), CatState(4.0 + 0.0j, 2.0),
-                                        Variant.GSSE, [0.002], workers=workers, **box),
-            lambda: es.run_collapse_ensemble(CatState(1.5 + 0.0j, 4.0), Variant.GSSE,
-                                             n_traj, 0.002, workers=workers, **box),
-            lambda: es.run_ensemble(small_config(
+            (512, lambda: gd.coherence_series(
+                range(n_traj), CatState(4.0 + 0.0j, 2.0), Variant.GSSE, [0.002],
+                workers=workers, n=512, x_min=-10.0, x_max=10.0)),
+            (es.GRID_BOX["n"], lambda: es.run_collapse_ensemble(
+                CatState(1.5 + 0.0j, 4.0), Variant.GSSE, n_traj, 0.002, workers=workers)),
+            (es.GRID_BOX["n"], lambda: es.run_ensemble(small_config(
                 Variant.GSSE, solver="grid", n_trajectories=n_traj, t_final=0.002,
-                grid_n=n, grid_x_min=-10.0, grid_x_max=10.0,
-            ), workers=workers),
+            ), workers=workers)),
         ]
-        for run in runs:
+        for n, run in runs:
             batches.clear()
             run()
             assert max(map(len, batches)) <= BLOCK_CELLS // n
@@ -408,13 +403,13 @@ class TestBlocks:
         assert batches == [list(range(300))]
 
 
-def csv_writer_reference(records, path, observables=es.OBSERVABLES):
+def csv_writer_reference(records, path):
     """The row-by-row csv.writer dump that write_records_csv must reproduce."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trajectory", "time", "observable", "value"])
         for j in range(len(records)):
-            for name in observables:
+            for name in es.OBSERVABLES:
                 values = getattr(records, name)[j]
                 for t, v in zip(records.times, values):
                     writer.writerow([j, repr(float(t)), name, repr(float(v))])
@@ -444,17 +439,14 @@ class TestEmission:
         ]
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         for records in ensembles:
-            for observables in (es.OBSERVABLES, ("kinetic", "xbar")):
-                es.write_records_csv(records, fast, observables)
-                csv_writer_reference(records, slow, observables)
-                assert fast.read_bytes() == slow.read_bytes()
+            es.write_records_csv(records, fast)
+            csv_writer_reference(records, slow)
+            assert fast.read_bytes() == slow.read_bytes()
 
     def test_csv_matches_csv_writer_reference_on_ensembles(self, tmp_path):
-        gauss = es.run_ensemble(small_config(Variant.SSNE, n_trajectories=4,
-                                             record_stride=50))
+        gauss = es.run_ensemble(small_config(Variant.SSNE, n_trajectories=4))
         grid = es.run_ensemble(small_config(
             Variant.GSSE, solver="grid", n_trajectories=4, t_final=0.02,
-            grid_n=256, grid_x_min=-16.0, grid_x_max=16.0,
         ), workers=2)  # two batches, joined
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         for records in (gauss, grid):
@@ -463,13 +455,13 @@ class TestEmission:
             assert fast.read_bytes() == slow.read_bytes()
 
     def test_csv_long_format_and_determinism(self, tmp_path):
-        cfg = small_config(Variant.GSSE, n_trajectories=3, record_stride=100)
+        cfg = small_config(Variant.GSSE, n_trajectories=3)
         records = es.run_ensemble(cfg)
         path = tmp_path / "records.csv"
         es.write_records_csv(records, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "trajectory,time,observable,value"
-        assert len(lines) == 1 + 3 * len(es.OBSERVABLES) * 6
+        assert len(lines) == 1 + 3 * len(es.OBSERVABLES) * 251
         first = lines[1].split(",")
         assert first[0] == "0" and first[2] == "xbar"
         float(first[1]), float(first[3])

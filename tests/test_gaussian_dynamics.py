@@ -292,19 +292,19 @@ class TestRunTrajectory:
 
     def test_record_layout(self):
         cfg = es.EnsembleConfig(Variant.GSSE, n_trajectories=2, t_final=0.2, dt=2e-3,
-                                base_seed=4, record_stride=10)
+                                base_seed=4)  # 100 steps: a record after every step
         records = es.run_ensemble(cfg)
-        assert records.times.shape == (11,)
-        assert np.allclose(np.diff(records.times), 2e-2, rtol=1e-12)
+        assert records.times.shape == (101,)
+        assert np.allclose(np.diff(records.times), 2e-3, rtol=1e-12)
         assert records.times[0] == 0.0
         for arr in (records.xbar, records.pbar, records.delta_x, records.kinetic, records.a):
-            assert arr.shape == (2, 11)
+            assert arr.shape == (2, 101)
         assert np.all(np.isfinite(records.xbar))
         assert np.allclose(records.delta_x, math.sqrt(0.5), rtol=1e-12)
 
     def test_matches_manual_stepping(self):
         cfg = es.EnsembleConfig(Variant.GSSE, n_trajectories=4, t_final=0.05, dt=1e-3,
-                                base_seed=6, record_stride=50)
+                                base_seed=6)
         records = es.run_ensemble(cfg)
         path = wiener_increments(6, 3, 50, 1e-3)
         s = soliton_state(Variant.GSSE)

@@ -3,9 +3,11 @@
 Expected values come from independent routes frozen here:
 * closed forms (shell theorem, uniform-sphere overlap polynomial, Gaussian erf
   formulas),
-* a Fourier-side quadrature oracle U(d) = -(2/pi) G M^2 int fhat^2 sinc(kd) dk,
+* a Fourier-side quadrature oracle U(d) = -(2/pi) int fhat^2 sinc(kd) dk,
   which shares no code with the bipolar real-space reduction used by the
   implementation.
+
+Units are natural, G = hbar = M = 1, as in the implementation.
 """
 import math
 
@@ -16,7 +18,6 @@ from scipy.special import erf
 
 from gravlab.errors import DomainError, InvalidProfileError
 from gravlab.model_core import (
-    Constants,
     MassProfile,
     delta_e_g,
     mutual_potential,
@@ -32,7 +33,6 @@ GAUSS = MassProfile.gaussian_ball(1.0)
 
 def pair_potential_fourier_oracle(profile, d):
     """U(d) by momentum-space quadrature; independent of the implementation."""
-    c = profile.constants
     if d == 0:
         val, _ = integrate.quad(lambda k: profile.form_factor(k) ** 2, 0.0, np.inf, limit=400)
     elif profile.form_factor(30.0) > 1e-12:
@@ -53,11 +53,11 @@ def pair_potential_fourier_oracle(profile, d):
             40.0,
             limit=400,
         )
-    return -c.G * c.mass**2 * (2.0 / math.pi) * val
+    return -2.0 / math.pi * val
 
 
 def uniform_overlap_polynomial(d, R=1.0):
-    """Closed-form pair energy of two uniform spheres (G = M = 1), d <= 2R."""
+    """Closed-form pair energy of two uniform spheres, d <= 2R."""
     x = d / R
     return -(1.0 / R) * (6.0 / 5.0 - 0.5 * x**2 + 3.0 / 16.0 * x**3 - x**5 / 160.0)
 
@@ -67,7 +67,7 @@ class TestOmegaG:
         assert abs(omega_g(UNIFORM) - 1.0) < 1e-8
 
     def test_uniform_radius_scaling(self):
-        # omega^2 = G M / R^3
+        # omega^2 = 1 / R^3
         p = MassProfile.uniform_sphere(2.0)
         assert abs(omega_g(p) - 2.0**-1.5) < 1e-8
 
@@ -75,11 +75,6 @@ class TestOmegaG:
         expect = math.sqrt(1.0 / (6.0 * math.sqrt(math.pi)))
         assert abs(omega_g(GAUSS) - expect) < 1e-8
         assert abs(omega_g(GAUSS) ** 2 - 0.094032) < 1e-6
-
-    @pytest.mark.parametrize("m", [0.5, 2.0, 7.0])
-    def test_omega_sq_linear_in_mass(self, m):
-        p = MassProfile.uniform_sphere(1.0, Constants(mass=m))
-        assert abs(omega_g(p) ** 2 - m * omega_g(UNIFORM) ** 2) < 1e-8
 
     def test_normalization_guard(self, monkeypatch):
         broken = MassProfile.uniform_sphere(1.0)
@@ -94,9 +89,6 @@ class TestOmegaG:
         again = MassProfile.uniform_sphere(1.0)
         assert omega_g(again) is omega_g(UNIFORM)
         assert self_energy(again) is self_energy(UNIFORM)
-        heavy = MassProfile.uniform_sphere(1.0, Constants(mass=4.0))
-        assert omega_g(heavy) == pytest.approx(2.0 * omega_g(UNIFORM), rel=1e-12)
-        assert self_energy(heavy) == pytest.approx(16.0 * self_energy(UNIFORM), rel=1e-12)
 
 
 class TestSelfEnergy:
@@ -107,8 +99,9 @@ class TestSelfEnergy:
         assert abs(self_energy(GAUSS) - (-1.0 / (2.0 * math.sqrt(math.pi)))) < 1e-10
 
     def test_mass_and_radius_scaling(self):
-        p = MassProfile.uniform_sphere(2.0, Constants(mass=3.0))
-        assert abs(self_energy(p) - (-0.6 * 9.0 / 2.0)) < 1e-8
+        # E_G = -3 / (5 R)
+        p = MassProfile.uniform_sphere(2.0)
+        assert abs(self_energy(p) - (-0.3)) < 1e-8
 
     def test_negative(self):
         assert self_energy(GAUSS) < 0
@@ -116,7 +109,7 @@ class TestSelfEnergy:
 
 class TestMutualPotential:
     def test_disjoint_is_point_coulomb(self):
-        # shell theorem: exact -G M^2 / d for d >= 2R
+        # shell theorem: exact -1 / d for d >= 2R
         for d in (2.0, 2.5, 4.0, 10.0):
             assert abs(mutual_potential(UNIFORM, d) - (-1.0 / d)) < 1e-10
 
@@ -141,7 +134,7 @@ class TestMutualPotential:
         assert abs(mutual_potential(GAUSS, 0.0) - 2.0 * self_energy(GAUSS)) < 1e-12
 
     def test_curvature_at_origin(self):
-        # U''(0) = M omega_g^2 by symmetric finite differences
+        # U''(0) = omega_g^2 by symmetric finite differences
         h = 1e-3
         second = 2.0 * (mutual_potential(UNIFORM, h) - mutual_potential(UNIFORM, 0.0)) / h**2
         assert abs(second - 1.0) < 1e-2
@@ -188,7 +181,7 @@ class TestQuadraticCheck:
         assert r1.rel_error / r2.rel_error >= 2.0
 
     def test_gaussian_closed_form_exact_branch(self):
-        # f * q for Gaussian f is again Gaussian: <V> = -G M^2 / (sqrt(pi) sqrt(sig^2+dx^2))
+        # f * q for Gaussian f is again Gaussian: <V> = -1 / (sqrt(pi) sqrt(sig^2+dx^2))
         dx = 0.3
         res = quadratic_potential_check(GAUSS, dx)
         expect = -1.0 / (math.sqrt(math.pi) * math.sqrt(1.0 + dx**2))
@@ -236,10 +229,6 @@ class TestTypes:
         qc = quadratic_coefficients(UNIFORM)
         assert abs(qc.offset - (-1.2)) < 1e-8
         assert abs(qc.curvature - 1.0) < 1e-8
-
-    def test_constants_validation(self):
-        with pytest.raises(DomainError):
-            Constants(G=-1.0)
 
     def test_profile_size_validation(self):
         with pytest.raises(InvalidProfileError):

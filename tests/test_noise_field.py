@@ -4,6 +4,8 @@ Oracles used here are independent of the implementation internals:
 * exact lattice sums over the full (complex) FFT spectrum,
 * an analytic single-mode field whose reduction is known in closed form,
 * large-sample moment checks with seeded generators.
+
+Units are natural, G = hbar = M = 1, as in the implementation.
 """
 import math
 
@@ -13,7 +15,7 @@ from scipy import fft as sfft
 
 from gravlab import noise_field
 from gravlab.errors import DomainError, ResolutionError
-from gravlab.model_core import Constants, MassProfile, omega_g
+from gravlab.model_core import MassProfile, omega_g
 from gravlab.noise_field import (
     FieldGrid,
     PhiFieldSample,
@@ -39,16 +41,16 @@ def spectral_deriv_k(n, h):
     return k
 
 
-def lattice_two_point(n, box, shift_cells, G=1.0, hbar=1.0):
+def lattice_two_point(n, box, shift_cells):
     """Exact E[Phi(x) Phi(x + shift)] / dt on the periodic lattice.
 
     Direct sum of the filtered white-noise power over all modes:
-    C(s) = (1 / V) sum_{k != 0} (4 pi G hbar / k^2) cos(k_x s).
+    C(s) = (1 / V) sum_{k != 0} (4 pi / k^2) cos(k_x s).
     """
     h = box / n
     kx = full_spectrum_k(n, h)
     k2 = kx[:, None, None] ** 2 + kx[None, :, None] ** 2 + kx[None, None, :] ** 2
-    power = np.where(k2 > 0, 4.0 * math.pi * G * hbar / np.where(k2 > 0, k2, 1.0), 0.0)
+    power = np.where(k2 > 0, 4.0 * math.pi / np.where(k2 > 0, k2, 1.0), 0.0)
     phase = np.cos(kx[:, None, None] * shift_cells * h)
     return float(np.sum(power * phase)) / box**3
 
@@ -61,14 +63,13 @@ def profile_on_grid(profile, grid):
 
 def reduced_w_expected_cov(profile, grid):
     """Exact per-axis E[w_a^2] / dt from the full-spectrum lattice sum."""
-    c = profile.constants
     h = grid.h
     fhat2 = np.abs(sfft.fftn(profile_on_grid(profile, grid))) ** 2
     kx = full_spectrum_k(grid.n, h)
     k2 = kx[:, None, None] ** 2 + kx[None, :, None] ** 2 + kx[None, None, :] ** 2
     inv_k2 = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
-    base = 4.0 * math.pi * c.G * c.hbar * inv_k2 * fhat2
-    pref = c.mass / (c.hbar * omega_g(profile) ** 2) * h**3 / grid.n**3
+    base = 4.0 * math.pi * inv_k2 * fhat2
+    pref = 1.0 / omega_g(profile) ** 2 * h**3 / grid.n**3
     kd = spectral_deriv_k(grid.n, h)
     out = np.empty(3)
     out[0] = pref * float(np.sum(base * kd[:, None, None] ** 2))
@@ -79,13 +80,12 @@ def reduced_w_expected_cov(profile, grid):
 
 def reduced_w_full_fft(field, profile):
     """Reimplementation of the reduction with the full complex FFT."""
-    c = profile.constants
     grid = field.grid
     h = grid.h
     fhat = sfft.fftn(profile_on_grid(profile, grid))
     phat = sfft.fftn(field.values)
     kd = spectral_deriv_k(grid.n, h)
-    pref = math.sqrt(c.mass / c.hbar) / omega_g(profile) * h**3 / grid.n**3
+    pref = 1.0 / omega_g(profile) * h**3 / grid.n**3
     w = np.empty(3)
     w[0] = pref * float(np.sum(1j * kd[:, None, None] * fhat * np.conj(phat)).real)
     w[1] = pref * float(np.sum(1j * kd[None, :, None] * fhat * np.conj(phat)).real)
@@ -261,7 +261,7 @@ class TestPhiField:
         est = per_sample.mean()
         sigma = per_sample.std(ddof=1) / math.sqrt(n_samples)
         assert abs(est - exact) < 5.0 * sigma
-        # one-cell separation still tracks the continuum G hbar / s law
+        # one-cell separation still tracks the continuum 1 / s law
         assert abs(exact * g.h / 1.0 - 1.0) < 0.05
         # equal-point variance agrees with the exact mode sum
         assert abs(var_sample.mean() / lattice_two_point(n, box, 0) - 1.0) < 0.05
@@ -291,14 +291,14 @@ class TestReduceToW:
         # Phi = sin(k1 x) picks out one lattice mode; the projection is then
         # an exact finite sum: w_x = -pref * k1 * h^3 sum f cos(k1 x), w_y = w_z = 0.
         g = FieldGrid(48, 6.0)
-        prof = MassProfile.uniform_sphere(1.0, Constants())
+        prof = MassProfile.uniform_sphere(1.0)
         ax = g.axis()
         k1 = 2.0 * math.pi / g.box
         vals = np.broadcast_to(np.sin(k1 * ax)[:, None, None], (g.n,) * 3).copy()
-        field = PhiFieldSample(g, 1.0, vals, 0, 0, Constants())
+        field = PhiFieldSample(g, 1.0, vals, 0, 0)
         w = reduce_phi_to_w(field, prof)
         fv = profile_on_grid(prof, g)
-        pref = math.sqrt(1.0) / omega_g(prof)
+        pref = 1.0 / omega_g(prof)
         expected = -pref * k1 * g.h**3 * float(np.sum(fv * np.cos(k1 * ax)[:, None, None]))
         assert abs(w[0] - expected) < 1e-12 * abs(expected)
         assert abs(w[1]) < 1e-12 * abs(expected)
@@ -318,17 +318,10 @@ class TestReduceToW:
         prof = MassProfile.gaussian_ball(1.6)
         f = sample_phi_field(g, 1.0, 21, 0)
         shift = 5  # cells
-        rolled = PhiFieldSample(g, 1.0, np.roll(f.values, shift, axis=0), 21, 0, f.constants)
+        rolled = PhiFieldSample(g, 1.0, np.roll(f.values, shift, axis=0), 21, 0)
         w0 = reduce_phi_to_w(f, prof)
         w1 = reduce_phi_to_w(rolled, prof, center=(shift * g.h, 0.0, 0.0))
         assert np.allclose(w0, w1, rtol=1e-9, atol=1e-12)
-
-    def test_mass_drops_out(self):
-        g = FieldGrid(48, 6.0)
-        f = sample_phi_field(g, 1.0, 77, 0)
-        w1 = reduce_phi_to_w(f, MassProfile.uniform_sphere(1.0))
-        w7 = reduce_phi_to_w(f, MassProfile.uniform_sphere(1.0, Constants(mass=7.0)))
-        assert np.allclose(w1, w7, rtol=1e-12, atol=0.0)
 
     def test_covariance_near_identity_at_reference_geometry(self):
         # the 52-cell box-6.2 geometry is the one the verification suite uses;
@@ -362,7 +355,6 @@ def reduced_w_half_spectrum(field, profile, center=(0.0, 0.0, 0.0)):
     weights 2 for the interior kz planes and 1 for kz = 0 and Nyquist,
     derivative wavenumbers with Nyquist zeroed.
     """
-    c = profile.constants
     grid = field.grid
     n, h, box = grid.n, grid.h, grid.box
     ax = grid.axis()
@@ -385,7 +377,7 @@ def reduced_w_half_spectrum(field, profile, center=(0.0, 0.0, 0.0)):
         kz[-1] = 0.0
         wt[-1] = 1.0
     cross = wt * fhat * np.conj(spec)
-    pref = math.sqrt(c.mass / c.hbar) / omega_g(profile) * h**3 / n**3
+    pref = 1.0 / omega_g(profile) * h**3 / n**3
     ks = (kx[:, None, None], kx[None, :, None], kz[None, None, :])
     return pref * np.array([float(np.sum(1j * k * cross).real) for k in ks])
 
@@ -406,18 +398,12 @@ class TestFilters:
             assert_relative(reduce_phi_to_w(f, profile, center),
                             reduced_w_half_spectrum(f, profile, center), 1e-13)
 
-    @pytest.mark.parametrize("grid, profile, center, constants", [
-        (*OFF_CENTER_BALL, Constants()),
-        (*CENTERED_SPHERE, Constants()),
-        # the field's G and hbar drive the noise, the profile's the projection
-        (FieldGrid(32, 6.0), MassProfile.gaussian_ball(1.6, Constants(hbar=0.7, mass=3.0)),
-         (0.0, 0.0, 0.0), Constants(G=2.5, hbar=0.7)),
-    ])
-    def test_sampled_kick_equals_projected_values(self, grid, profile, center, constants):
+    @pytest.mark.parametrize("grid, profile, center", [OFF_CENTER_BALL, CENTERED_SPHERE])
+    def test_sampled_kick_equals_projected_values(self, grid, profile, center):
         for i in (0, 1, 7, 1000):
-            field = sample_phi_field(grid, 0.3, 1618, i, constants)
+            field = sample_phi_field(grid, 0.3, 1618, i)
             w = reduce_phi_to_w(field, profile, center)
-            by_hand = PhiFieldSample(grid, 0.3, field.values, 1618, i, constants)
+            by_hand = PhiFieldSample(grid, 0.3, field.values, 1618, i)
             assert_relative(w, reduce_phi_to_w(by_hand, profile, center), 1e-13)
 
     def test_kick_does_not_depend_on_reading_values(self):
@@ -430,16 +416,15 @@ class TestFilters:
         unread.values
         assert np.array_equal(w, reduce_phi_to_w(unread, prof, center))
 
-    @pytest.mark.parametrize("constants", [Constants(), Constants(G=2.5, hbar=0.7)])
-    def test_values_are_the_eager_synthesis(self, constants):
+    def test_values_are_the_eager_synthesis(self):
         grid, dt = FieldGrid(24, 5.0), 0.3
         for i in (0, 7):
             # eager synthesis: filter the sample's normals, then scale by sqrt(dt)
             spec = sfft.rfftn(noise_field._white_noise(grid, 1618, i))
-            spec *= noise_field._amplitude_filter(grid.n, grid.h, constants.G, constants.hbar)
+            spec *= noise_field._amplitude_filter(grid.n, grid.h)
             eager = sfft.irfftn(spec, s=(grid.n,) * 3, overwrite_x=True)
             eager *= math.sqrt(dt)
-            field = sample_phi_field(grid, dt, 1618, i, constants)
+            field = sample_phi_field(grid, dt, 1618, i)
             assert np.array_equal(field.values, eager)
             assert field.values is field.values
             assert not field.values.flags.writeable and not field.noise.flags.writeable
@@ -447,7 +432,7 @@ class TestFilters:
     @pytest.mark.parametrize("grid, profile, center", [OFF_CENTER_BALL, CENTERED_SPHERE])
     def test_kick_filter_is_the_filtered_gradient_filter(self, grid, profile, center):
         n = grid.n
-        amp = noise_field._amplitude_filter(n, grid.h, 1.0, 1.0)
+        amp = noise_field._amplitude_filter(n, grid.h)
         d = noise_field._gradient_filter(profile, grid, noise_field._center_key(center))
         g = noise_field.kick_filter(grid, profile, center)
         for row, d_row in zip(g, d):
@@ -467,7 +452,7 @@ class TestFilters:
         with pytest.raises(ResolutionError):
             reduce_phi_to_w(field, coarse)
         with pytest.raises(ResolutionError):
-            reduce_phi_to_w(PhiFieldSample(grid, 1.0, field.values, 1, 0, Constants()), coarse)
+            reduce_phi_to_w(PhiFieldSample(grid, 1.0, field.values, 1, 0), coarse)
         with pytest.raises(ResolutionError):
             noise_field.kick_filter(grid, coarse)
         with pytest.raises(DomainError):
@@ -477,9 +462,9 @@ class TestFilters:
         with pytest.raises(DomainError):
             sample_phi_field(grid, 0.1, 1, 1 << 63)
         with pytest.raises(DomainError):
-            PhiFieldSample(grid, 1.0, None, 1, 0, Constants())
+            PhiFieldSample(grid, 1.0, None, 1, 0)
         with pytest.raises(DomainError):
-            PhiFieldSample(grid, 1.0, field.values, 1, 0, Constants(), noise=field.noise)
+            PhiFieldSample(grid, 1.0, field.values, 1, 0, noise=field.noise)
 
     def test_sampled_loop_builds_no_gradient_filter(self):
         grid, prof, center = OFF_CENTER_BALL
@@ -494,12 +479,11 @@ class TestFilters:
 class TestFilterCaches:
     def test_filters_are_cached_read_only_and_few(self):
         grid, prof, center = OFF_CENTER_BALL
-        c = Constants()
         caches = {
             noise_field._k_arrays: (grid.n, grid.h),
-            noise_field._amplitude_filter: (grid.n, grid.h, c.G, c.hbar),
+            noise_field._amplitude_filter: (grid.n, grid.h),
             noise_field._gradient_filter: (prof, grid, center),
-            noise_field._kick_filter: (prof, grid, center, c.G, c.hbar),
+            noise_field._kick_filter: (prof, grid, center),
         }
         for cached, args in caches.items():
             # each (3, n^3) filter is 3 n^3 8 B: 400 MB at n = 256
@@ -511,5 +495,5 @@ class TestFilterCaches:
                 with pytest.raises(ValueError):
                     arr[...] = 0.0
         assert noise_field.kick_filter(grid, prof, center) is noise_field._kick_filter(
-            prof, grid, center, c.G, c.hbar)
+            prof, grid, center)
         assert noise_field._gradient_filter(prof, grid, center).shape == (3, grid.n**3)
