@@ -63,13 +63,20 @@ _KEY_TYPES = {
     "study": str,
 }
 
-# per-command fallbacks applied after config file and flags
+# the settings every command reads (its metadata records seed and workers)
+_SHARED_DEFAULTS = {"seed": 0, "workers": 0, "out_dir": "."}
+
+# the other settings each command reads, with the fallbacks applied after
+# config file and flags (None: no fallback, or the cat study's); a command
+# has flags for these only, and any other key in its config file is a
+# config error
 _COMMAND_DEFAULTS = {
-    "statics": {},
-    "solitons": {"dt": 1e-3, "t_final": 10.0},
+    "statics": {"profile": "uniform", "radius": 1.0},
+    "solitons": {"variant": None, "dt": 1e-3, "t_final": 10.0},
     "diffusion": {"variant": "gsse", "trajectories": 400, "t_final": 4.0, "dt": 1e-3},
     "ke-rate": {"variant": "gsse", "trajectories": 400, "t_final": 6.0, "dt": 1e-3},
-    "cat": {"variant": "gsse", "trajectories": 200},
+    "cat": {"variant": "gsse", "trajectories": 200, "study": "collapse",
+            "separation": None, "dt": None, "t_final": None},
     "attract": {"dt": 1e-3, "separation": 5.0},
     "verify": {},
 }
@@ -80,7 +87,32 @@ _CAT_STUDY_DEFAULTS = {
 }
 
 
+# the flag of each command setting (t_final is set in a config file only)
+_FLAGS = {
+    "variant": {"choices": ["sne", "gsse", "ssne"], "help": "dynamics variant"},
+    "dt": {"type": float, "help": "integrator step"},
+    "trajectories": {"type": int, "help": "ensemble size"},
+    "profile": {"choices": ["uniform", "gaussian"], "help": "mass density profile"},
+    "radius": {"type": float,
+               "help": "profile size parameter (sphere radius or ball width)"},
+    "study": {"choices": ["collapse", "coherence"]},
+    "separation": {"type": float,
+                   "help": "branch separation (cat) or initial packet separation (attract)"},
+}
+
+_COMMAND_HELP = {
+    "statics": "frequency, self-energy, and energy-gap tables",
+    "solitons": "stationarity and width-relaxation runs",
+    "diffusion": "ensemble variance and covariance growth fits",
+    "ke-rate": "kinetic-energy heating rate fit",
+    "cat": "two-branch collapse or coherence study",
+    "attract": "two-packet attraction under the nonlocal term",
+    "verify": "run the acceptance battery and report pass/fail",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The gravlab parser; each command takes flags only for the settings it reads."""
     parser = argparse.ArgumentParser(
         prog="gravlab",
         description="Stochastic wave-packet experiments with reproducible output.",
@@ -98,43 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
                              "slower")
     shared.add_argument("--out-dir", type=Path, default=None,
                         help="directory for CSV/JSON output (default: .)")
-    shared.add_argument("--dt", type=float, default=None, help="integrator step")
-    shared.add_argument("--trajectories", type=int, default=None,
-                        help="ensemble size")
-    shared.add_argument("--variant", choices=["sne", "gsse", "ssne"], default=None,
-                        help="dynamics variant")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    statics = sub.add_parser("statics", parents=[shared],
-                             help="frequency, self-energy, and energy-gap tables")
-    statics.add_argument("--profile", choices=["uniform", "gaussian"], default=None,
-                         help="mass density profile")
-    statics.add_argument("--radius", type=float, default=None,
-                         help="profile size parameter (sphere radius or ball width)")
-    sub.add_parser("solitons", parents=[shared],
-                   help="stationarity and width-relaxation runs")
-    sub.add_parser("diffusion", parents=[shared],
-                   help="ensemble variance and covariance growth fits")
-    sub.add_parser("ke-rate", parents=[shared],
-                   help="kinetic-energy heating rate fit")
-    cat = sub.add_parser("cat", parents=[shared],
-                         help="two-branch collapse or coherence study")
-    cat.add_argument("--study", choices=["collapse", "coherence"], default=None)
-    cat.add_argument("--separation", type=float, default=None,
-                     help="branch separation")
-    attract = sub.add_parser("attract", parents=[shared],
-                             help="two-packet attraction under the nonlocal term")
-    attract.add_argument("--separation", type=float, default=None,
-                         help="initial packet separation")
-    verify = sub.add_parser("verify", parents=[shared],
-                            help="run the acceptance battery and report pass/fail")
-    verify.add_argument("--criteria", type=int, nargs="+", default=None,
-                        help="criterion numbers to run (default: all)")
+    for command, help_text in _COMMAND_HELP.items():
+        command_parser = sub.add_parser(command, parents=[shared], help=help_text)
+        for key in _COMMAND_DEFAULTS[command]:
+            if key in _FLAGS:
+                command_parser.add_argument(f"--{key}", default=None, **_FLAGS[key])
+    sub.choices["verify"].add_argument("--criteria", type=int, nargs="+", default=None,
+                                       help="criterion numbers to run (default: all)")
     return parser
 
 
-def _read_config(path: Path) -> dict:
-    """Parse a KEY=VALUE file; '#' starts a comment, blank lines are skipped."""
+def _read_config(path: Path, command: str, keys) -> dict:
+    """Parse a KEY=VALUE file; '#' starts a comment, blank lines are skipped.
+
+    Every key must be one of `keys`, the settings `command` reads.
+    """
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values = {}
@@ -152,24 +164,28 @@ def _read_config(path: Path) -> dict:
             values[key] = _KEY_TYPES[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: {command} does not read setting {key!r}")
     return values
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and flags into one settings dict."""
-    settings = {"seed": 0, "workers": 0, "out_dir": ".", "profile": "uniform",
-                "radius": 1.0, "variant": None, "dt": None, "trajectories": None,
-                "t_final": None, "separation": None, "study": "collapse"}
-    if getattr(args, "config", None) is not None:
-        settings.update(_read_config(args.config))
+    """Merge defaults, config file, and flags into one settings dict.
+
+    The dict holds exactly the settings the command reads.
+    """
+    command = args.command
+    settings = {**_SHARED_DEFAULTS, **dict.fromkeys(_COMMAND_DEFAULTS[command])}
+    if args.config is not None:
+        settings.update(_read_config(args.config, command, settings))
     for key in settings:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
-    for key, value in _COMMAND_DEFAULTS[args.command].items():
+    for key, value in _COMMAND_DEFAULTS[command].items():
         if settings[key] is None:
             settings[key] = value
-    if args.command == "cat":
+    if command == "cat":
         if settings["study"] not in _CAT_STUDY_DEFAULTS:
             raise ConfigError(f"unknown cat study {settings['study']!r}")
         for key, value in _CAT_STUDY_DEFAULTS[settings["study"]].items():
@@ -181,7 +197,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     if workers == 0:  # the cores this process may run on, as nproc counts them
         affinity = getattr(os, "sched_getaffinity", None)
         settings["workers"] = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if settings["variant"] is not None:
+    if settings.get("variant") is not None:
         try:
             settings["variant"] = Variant[str(settings["variant"]).upper()]
         except KeyError:

@@ -31,6 +31,10 @@ A deterministic nonlocal mode evolves the mean-field dynamics with a
 softened attractive kernel; that update is exactly unitary on the grid, so
 the norm is preserved to machine precision without renormalization.  It
 carries its spectrum the same way.
+
+scipy.fft is imported by the functions that transform, on first use:
+importing it loads scipy.special too, which runs without a grid (ke-rate,
+diffusion) never need.
 """
 from __future__ import annotations
 
@@ -39,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import ContainmentError, DomainError, StatisticsError, StepSizeError
 from .gaussian_dynamics import Variant, variant_coefficients
@@ -152,6 +155,8 @@ class GridState:
         """FFT of the amplitudes along the last axis (the carried spectrum)."""
         if self.spectrum is not None:
             return self.spectrum
+        import scipy.fft as sfft
+
         return sfft.fft(self.amplitudes, axis=-1)
 
     def _spectral_weights(self):
@@ -177,6 +182,8 @@ class GridState:
 
     def correlation_xp(self):
         """Symmetrized covariance <xp + px>/2 - <x><p>."""
+        import scipy.fft as sfft
+
         _, kd = _k_grids(self.n, self.dx_grid)
         psi = self.amplitudes
         dpsi = sfft.ifft(1j * kd * self._fourier(), axis=-1)
@@ -343,6 +350,8 @@ def step_quadratic(state: GridState, variant: Variant, dt: float, dW) -> GridSta
     pre-renormalization mismatch, and its spectrum is the FFT of its
     amplitudes, which the next step starts from.
     """
+    import scipy.fft as sfft
+
     if dt <= 0:
         raise DomainError("dt must be positive")
     _check_kinetic_resolution(dt, state.dx_grid)
@@ -402,6 +411,8 @@ def step_quadratic(state: GridState, variant: Variant, dt: float, dW) -> GridSta
 
 @functools.lru_cache(maxsize=16)
 def _soft_kernel_spectrum(n: int, dx: float, a_soft: float, strength: float):
+    import scipy.fft as sfft
+
     # padded length 2n removes periodic wrap, making the convolution linear
     m = np.arange(2 * n)
     disp = dx * (((m + n) % (2 * n)) - n)
@@ -413,6 +424,8 @@ def _soft_kernel_spectrum(n: int, dx: float, a_soft: float, strength: float):
 
 def mean_field_potential(rho: np.ndarray, dx: float, kernel: SoftKernelSpec) -> np.ndarray:
     """V(x) = int K_soft(x - y) rho(y) dy on the grid, rho = |psi|^2."""
+    import scipy.fft as sfft
+
     n = rho.shape[-1]
     padded = np.zeros(rho.shape[:-1] + (2 * n,))
     np.multiply(rho, dx, out=padded[..., :n])
@@ -429,6 +442,8 @@ def step_sne_nonlocal(state: GridState, kernel: SoftKernelSpec, dt: float) -> Gr
     Like step_quadratic it starts from the carried spectrum and returns the
     new one.
     """
+    import scipy.fft as sfft
+
     if dt <= 0:
         raise DomainError("dt must be positive")
     _check_kinetic_resolution(dt, state.dx_grid)

@@ -28,6 +28,9 @@ the uniform-sphere profile never needs a real-space derivative), takes a
 sample's eta to its kick with one dot product per axis and no FFT, and
 G G^T is the kick's exact covariance on the lattice.  Only a field built
 by hand from its values goes through the gradient filter D instead.
+
+scipy.fft is imported by the functions that transform, on first use, as in
+grid_dynamics.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import DomainError, GravlabError, ResolutionError
 from .model_core import MassProfile, omega_g
@@ -310,6 +312,8 @@ class PhiFieldSample:
         # a plain attribute check, not functools.cached_property: on Python
         # 3.10 and 3.11 its lock is shared by every instance
         if self._values is None:
+            import scipy.fft as sfft
+
             spec = sfft.rfftn(self.noise)
             spec *= _amplitude_filter(self.grid.n, self.grid.h)
             vals = sfft.irfftn(spec, s=(self.grid.n,) * 3, overwrite_x=True)
@@ -358,6 +362,8 @@ def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> n
     Displacements are minimum-image on the periodic box, so moving the center
     by a whole number of cells is exactly a cyclic shift of the samples.
     """
+    import scipy.fft as sfft
+
     ax = grid.axis()
     cx, cy, cz = center
     box = grid.box
@@ -384,6 +390,8 @@ def _check_resolution(grid: FieldGrid, profile: MassProfile) -> None:
 
 def _projection_rows(profile: MassProfile, grid: FieldGrid, spec: np.ndarray) -> np.ndarray:
     """(3, n^3) read-only rows h^3 / omega_g irfftn(i k_a spec)."""
+    import scipy.fft as sfft
+
     n = grid.n
     _, kxd, kzd = _k_arrays(n, grid.h)
     pref = 1.0 / omega_g(profile) * grid.h**3

@@ -39,6 +39,30 @@ class TestStatics:
         assert summary["metadata"]["profile"] == "gaussian"
 
 
+class TestStartUp:
+    def test_import_leaves_quadrature_and_transforms_unloaded(self):
+        # model_core loads scipy.integrate and scipy.special on its first
+        # quadrature, the steppers scipy.fft (which loads scipy.special) on
+        # their first transform; presets that need neither never pay for them
+        code = ("import sys, gravlab.cli; print(sorted(name for name in "
+                "('scipy.integrate', 'scipy.special', 'scipy.fft') if name in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("profile", ["uniform", "gaussian"])
+    def test_statics_bytes_do_not_depend_on_when_scipy_loads(self, tmp_path, profile):
+        argv = ["statics", "--profile", profile, "--radius", "0.8"]
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gravlab.cli", *argv, "--out-dir", str(fresh)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main([*argv, "--out-dir", str(here)]) == 0
+        assert (fresh / "statics.csv").read_bytes() == (here / "statics.csv").read_bytes()
+
+
 class TestErrorPaths:
     def test_unknown_subcommand_exits_2_with_stderr(self):
         proc = subprocess.run(
@@ -69,6 +93,40 @@ class TestErrorPaths:
         rc = main(["statics", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "unknown setting" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line", [
+        (["solitons"], "profile = gaussian"),
+        (["ke-rate"], "radius = 3"),
+        (["diffusion"], "separation = 3"),
+        (["attract"], "study = coherence"),
+        (["statics"], "dt = 0.1"),
+        (["verify", "--criteria", "1"], "trajectories = 10"),
+    ])
+    def test_config_key_the_command_does_not_read(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        out = tmp_path / "out"
+        rc = main([*command, "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 2
+        key = line.split(" =")[0]
+        err = capsys.readouterr().err
+        assert err.startswith("gravlab: config error: ")
+        assert f"run.cfg:2: {command[0]} does not read setting '{key}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["statics", "--dt", "0.1"], "dt"),
+        (["attract", "--variant", "gsse"], "variant"),
+        (["solitons", "--trajectories", "5"], "trajectories"),
+        (["verify", "--criteria", "1", "--variant", "ssne"], "variant"),
+    ])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unparseable_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -159,6 +217,17 @@ class TestConfigResolution:
         # platforms without an affinity call fall back to the CPU count
         monkeypatch.delattr(cli.os, "sched_getaffinity")
         assert resolved_workers() == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["ke-rate"], ["diffusion"], ["cat", "--study", "collapse"],
+        ["cat", "--study", "coherence"],
+    ])
+    def test_every_command_reads_t_final_from_a_config_file(self, tmp_path, argv):
+        # the form of the benchmark's configs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_final = 0.25\n")
+        args = cli.build_parser().parse_args([*argv, "--config", str(cfg)])
+        assert cli._resolve(args)["t_final"] == 0.25
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
