@@ -29,6 +29,7 @@ from .ensemble_stats import (
     estimate_ke_rate,
     estimate_xp_covariance,
     collapse_time_stats,
+    record_stride,
     run_collapse_ensemble,
     run_ensemble,
     step_count,
@@ -271,7 +272,7 @@ def _run_solitons(settings: dict) -> tuple:
     variants = ([settings["variant"]] if settings["variant"] is not None
                 else [Variant.SNE, Variant.GSSE, Variant.SSNE])
     n_steps = step_count(t_final, dt)
-    stride = max(1, n_steps // 200)
+    stride = record_stride(n_steps)
     rows, finals = [], {}
     for variant in variants:
         # width flow is deterministic, so one zero-noise trajectory tells

@@ -52,36 +52,6 @@ MIN_RATE_TRAJECTORIES = 100  # fewest trajectories a rate or covariance fit take
 _BOOTSTRAP_SEED = 0x5EED
 
 
-@dataclass(frozen=True)
-class InitialSpec:
-    """Initial Gaussian packet: the variant's soliton or an explicit width."""
-
-    kind: str  # "soliton" | "gaussian"
-    xbar: float = 0.0
-    pbar: float = 0.0
-    a: complex | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("soliton", "gaussian"):
-            raise DomainError(f"unknown initial-state kind {self.kind!r}")
-        if self.kind == "gaussian":
-            if self.a is None or not complex(self.a).real > 0:
-                raise DomainError("explicit initial state needs Re(a) > 0")
-
-    @classmethod
-    def soliton(cls, xbar: float = 0.0, pbar: float = 0.0) -> "InitialSpec":
-        return cls("soliton", xbar, pbar)
-
-    @classmethod
-    def gaussian(cls, xbar: float, pbar: float, a: complex) -> "InitialSpec":
-        return cls("gaussian", xbar, pbar, complex(a))
-
-    def resolve_a(self, variant: Variant) -> complex:
-        if self.kind == "soliton":
-            return soliton_state(variant).a
-        return complex(self.a)
-
-
 def step_count(t_final: float, dt: float) -> int:
     """The number of steps of dt in t_final, which must be a positive multiple of dt."""
     if not (0.0 < t_final < math.inf and 0.0 < dt < math.inf):
@@ -92,9 +62,18 @@ def step_count(t_final: float, dt: float) -> int:
     return n_steps
 
 
+def record_stride(n_steps: int) -> int:
+    """Steps between records, for about 200 records per run."""
+    return max(1, n_steps // 200)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """One reproducible ensemble run; trajectory j uses seed (base_seed, j)."""
+    """One reproducible ensemble run; trajectory j uses seed (base_seed, j).
+
+    Every trajectory starts at xbar = pbar = 0 with width a0, or with the
+    variant's soliton width when a0 is None.
+    """
 
     variant: Variant
     solver: str = "gaussian"
@@ -102,23 +81,20 @@ class EnsembleConfig:
     t_final: float = 10.0
     dt: float = 1e-3
     base_seed: int = 0
-    initial: InitialSpec = InitialSpec.soliton()
+    a0: complex | None = None
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise DomainError(f"unknown solver {self.solver!r}")
         if self.n_trajectories < 2:
             raise DomainError("need at least 2 trajectories")
+        if self.a0 is not None and not complex(self.a0).real > 0:
+            raise DomainError("explicit initial width needs Re(a0) > 0")
         step_count(self.t_final, self.dt)
 
     @property
     def n_steps(self) -> int:
         return step_count(self.t_final, self.dt)
-
-    @property
-    def stride(self) -> int:
-        """Steps between records, for about 200 records per run."""
-        return max(1, self.n_steps // 200)
 
 
 def _read_only(record) -> None:
@@ -153,11 +129,10 @@ class EnsembleRecords:
 
 def _start_state(config: EnsembleConfig):
     """The one state every trajectory of the ensemble starts from."""
-    init = config.initial
-    a0 = init.resolve_a(config.variant)
+    a0 = soliton_state(config.variant).a if config.a0 is None else complex(config.a0)
     if config.solver == "gaussian":
-        return GaussianState(float(init.xbar), float(init.pbar), a0)
-    return init_gaussian(init.xbar, init.pbar, a0, **GRID_BOX)
+        return GaussianState(0.0, 0.0, a0)
+    return init_gaussian(0.0, 0.0, a0, **GRID_BOX)
 
 
 def _gaussian_moments(st: GaussianState):
@@ -197,7 +172,7 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleRecords:
     else:
         stepper, moments, n_cells = step_quadratic, _grid_moments, GRID_BOX["n"]
     variant, dt = config.variant, config.dt
-    steps = range(0, config.n_steps + 1, config.stride)
+    steps = range(0, config.n_steps + 1, record_stride(config.n_steps))
     reads = run_batches(
         lambda rows: _start_state(config).repeated(rows),
         lambda st, dw: stepper(st, variant, dt, dw),

@@ -126,16 +126,6 @@ class GaussianState:
         )
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """Stationary width of the Riccati flow with its linear stability."""
-
-    a: complex
-    eigenvalue: complex
-    stability: str  # "attracting" | "neutral" | "repelling"
-    physical: bool  # normalizable (Re a > 0)
-
-
 def soliton_state(variant: Variant) -> GaussianState:
     """Stationary-width packet at the origin with zero momentum."""
     return GaussianState(0.0, 0.0, _stationary_a(variant))
@@ -160,27 +150,6 @@ def step(state: GaussianState, variant: Variant, dt: float, dW) -> GaussianState
     if not np.all(np.real(a_new) > 0.0):
         raise InstabilityError("width lost normalizability; reduce the time step")
     return GaussianState(xbar, pbar, a_new)
-
-
-def width_flow_fixed_points(variant: Variant) -> tuple[FixedPoint, ...]:
-    """Both stationary widths of da/dt = gamma - 2i a^2, classified.
-
-    The physical (Re a > 0) fixed point comes first.  Eigenvalues are of the
-    linearized flow d(delta a)/dt = -4i a* delta a.
-    """
-    a_star = _stationary_a(variant)
-    out = []
-    for a in (a_star, -a_star):
-        lam = -4.0j * a
-        scale = abs(lam)
-        if lam.real < -1e-12 * scale:
-            stability = "attracting"
-        elif lam.real > 1e-12 * scale:
-            stability = "repelling"
-        else:
-            stability = "neutral"
-        out.append(FixedPoint(a, lam, stability, a.real > 0))
-    return tuple(out)
 
 
 def kinetic_energy(state: GaussianState):

@@ -136,9 +136,6 @@ class GridState:
     def density(self) -> np.ndarray:
         return _abs2(self.amplitudes)
 
-    def norm(self):
-        return np.sqrt(np.sum(self.density(), axis=-1) * self.dx_grid)
-
     def mean_x(self):
         rho = self.density()
         return np.sum(self.x * rho, axis=-1) / np.sum(rho, axis=-1)
@@ -167,13 +164,6 @@ class GridState:
         _, kd = _k_grids(self.n, self.dx_grid)
         w, tot = self._spectral_weights()
         return np.sum(kd * w, axis=-1) / tot
-
-    def delta_p2(self):
-        k, kd = _k_grids(self.n, self.dx_grid)
-        w, tot = self._spectral_weights()
-        m1 = np.sum(kd * w, axis=-1) / tot
-        m2 = np.sum(k**2 * w, axis=-1) / tot
-        return m2 - m1**2
 
     def kinetic_energy(self):
         k, _ = _k_grids(self.n, self.dx_grid)
@@ -253,10 +243,6 @@ class SoftKernelSpec:
             raise DomainError("softening length must be positive")
         if self.strength < 0:
             raise DomainError("kernel strength must be non-negative")
-
-    def pair_energy(self, distance) -> float:
-        """Potential energy of two unit point masses at the given distance."""
-        return -self.strength / np.sqrt(np.asarray(distance) ** 2 + self.a_soft**2)
 
 
 def make_axis(n: int = DEFAULT_N, x_min: float = DEFAULT_X_MIN, x_max: float = DEFAULT_X_MAX):

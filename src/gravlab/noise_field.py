@@ -13,10 +13,9 @@ Three layers:
   reads of every batch in trajectory order.
 * sample_phi_field: a real random potential on a periodic 3D grid with
   spatial covariance 1 / |r - s| per unit time (G = hbar = M = 1).  A
-  sample carries its unit white noise per cell, eta; the field itself is
-  synthesized spectrally on the first read of .values: the rfftn of eta
-  times one cached amplitude filter, sqrt(4 pi / k^2) / h^1.5 with the
-  uniform mode removed.
+  sample is its unit white noise per cell, eta; the field is eta filtered
+  spectrally with one cached amplitude filter, sqrt(4 pi / k^2) / h^1.5
+  with the uniform mode removed, and scaled by sqrt(dt).
 * reduce_phi_to_w: projection of the field onto the gradient of a mass
   profile.  The resulting 3-vector has identity covariance per unit time,
   which is what the packet-level solvers consume.
@@ -26,8 +25,7 @@ so the kick has one path: the kick filter G, a cached (3, n^3) real array
 built from the momentum-space gradient i k_a amp f_hat (the sharp edge of
 the uniform-sphere profile never needs a real-space derivative), takes a
 sample's eta to its kick with one dot product per axis and no FFT, and
-G G^T is the kick's exact covariance on the lattice.  Only a field built
-by hand from its values goes through the gradient filter D instead.
+G G^T is the kick's exact covariance on the lattice.
 
 scipy.fft is imported by the functions that transform, on first use, as in
 grid_dynamics.
@@ -38,15 +36,13 @@ import functools
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, GravlabError, ResolutionError
 from .model_core import MassProfile, omega_g
-
-_MASK64 = (1 << 64) - 1
 
 # Field samples and trajectory noise live in disjoint Philox stream ranges so
 # that reusing one base seed for both can never correlate them.
@@ -67,12 +63,19 @@ BLOCK_CELLS = 1 << 16
 NOISE_BLOCK_STEPS = 1024
 
 
+def _check_seed(base_seed: int) -> None:
+    # the seed is the low 64 bits of the Philox key and the stream index the
+    # high 64, so a larger seed would draw another (seed, stream) pair's noise
+    if not 0 <= base_seed < 1 << 64:
+        raise DomainError(f"base seed {base_seed} is outside [0, 2**64)")
+
+
 def _philox(base_seed: int, stream_index: int) -> np.random.Generator:
-    """Counter-based generator keyed by (base_seed, stream_index)."""
-    if base_seed < 0 or stream_index < 0:
-        raise DomainError("seeds and stream indices must be non-negative")
-    key = (base_seed & _MASK64) + ((stream_index & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based generator keyed by (base_seed, stream_index < 2**64)."""
+    _check_seed(base_seed)
+    if stream_index < 0:
+        raise DomainError("stream indices must be non-negative")
+    return np.random.Generator(np.random.Philox(key=base_seed + (stream_index << 64)))
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,6 @@ class NoisePath:
     trajectory_index: int
     dt: float
     increments: np.ndarray  # shape (n_steps,)
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
 
 
 def wiener_increments(
@@ -181,6 +180,7 @@ def run_batches(
     """
     if workers < 1:
         raise DomainError("workers must be >= 1")
+    _check_seed(base_seed)  # a bad seed is no one trajectory's fault
 
     def run(batch):
         return drive(start(len(batch)), advance, base_seed, batch, dt, steps, read)
@@ -240,9 +240,9 @@ class FieldGrid:
         return (np.arange(self.n) - self.n // 2) * self.h
 
 
-# The (3, n^3) projection filters take 3 n^3 8 B each: 3.4 MB at n = 52,
-# 400 MB at n = 256.  Their caches hold two, enough for one profile and grid
-# at a time; the amplitude filter and k^2 are a sixth of that size each.
+# The (3, n^3) kick filter takes 3 n^3 8 B: 3.4 MB at n = 52, 400 MB at
+# n = 256.  Its cache holds two, enough for one profile and grid at a time;
+# the amplitude filter and k^2 are a sixth of that size each.
 FILTER_CACHE_SIZE = 2
 
 
@@ -279,52 +279,20 @@ def _amplitude_filter(n: int, h: float) -> np.ndarray:
     return amp
 
 
+@dataclass(frozen=True, eq=False)
 class PhiFieldSample:
     """One spatial sample of the random potential, scaled by sqrt(dt).
 
-    Built by hand from its (n, n, n) values, or by sample_phi_field from its
-    unit normals per cell, noise; then values is synthesized on its first
-    read, kept and read-only, and reduce_phi_to_w reads only noise.
+    The sample is its read-only unit normals per cell, noise, drawn from
+    stream (base_seed, sample_index); reduce_phi_to_w takes them to the
+    sample's kick.
     """
 
-    __slots__ = ("grid", "dt", "base_seed", "sample_index", "noise", "_values")
-
-    def __init__(
-        self,
-        grid: FieldGrid,
-        dt: float,
-        values: np.ndarray | None,
-        base_seed: int,
-        sample_index: int,
-        noise: np.ndarray | None = None,
-    ) -> None:
-        if (values is None) == (noise is None):
-            raise DomainError("a field sample needs exactly one of values and noise")
-        self.grid = grid
-        self.dt = dt
-        self.base_seed = base_seed
-        self.sample_index = sample_index
-        self.noise = noise
-        self._values = values
-
-    @property
-    def values(self) -> np.ndarray:
-        # a plain attribute check, not functools.cached_property: on Python
-        # 3.10 and 3.11 its lock is shared by every instance
-        if self._values is None:
-            import scipy.fft as sfft
-
-            spec = sfft.rfftn(self.noise)
-            spec *= _amplitude_filter(self.grid.n, self.grid.h)
-            vals = sfft.irfftn(spec, s=(self.grid.n,) * 3, overwrite_x=True)
-            vals *= math.sqrt(self.dt)
-            vals.flags.writeable = False  # a write here would not move the kick
-            self._values = vals
-        return self._values
-
-    def __repr__(self) -> str:
-        return (f"PhiFieldSample(grid={self.grid!r}, dt={self.dt!r}, "
-                f"base_seed={self.base_seed!r}, sample_index={self.sample_index!r})")
+    grid: FieldGrid
+    dt: float
+    base_seed: int
+    sample_index: int
+    noise: np.ndarray = field(repr=False)
 
 
 def _white_noise(grid: FieldGrid, base_seed: int, sample_index: int) -> np.ndarray:
@@ -344,16 +312,15 @@ def sample_phi_field(
     """One field sample with covariance dt / |r - s|.
 
     Draws the sample's white noise per cell now, so bad arguments raise
-    here; the field, that noise filtered with sqrt(4 pi / k^2), is
-    built only when .values is read.  The k = 0 mode is dropped (only
-    gradients of the field are ever observed, so the uniform component is
-    unphysical).
+    here.  The field is that noise filtered with sqrt(4 pi / k^2) and
+    scaled by sqrt(dt); its k = 0 mode is dropped (only gradients of the
+    field are ever observed, so the uniform component is unphysical).
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
     eta = _white_noise(grid, base_seed, sample_index)
-    eta.flags.writeable = False  # its kick and its values must stay one sample
-    return PhiFieldSample(grid, dt, None, base_seed, sample_index, noise=eta)
+    eta.flags.writeable = False  # a write here would change the sample's kick
+    return PhiFieldSample(grid, dt, base_seed, sample_index, eta)
 
 
 def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
@@ -377,7 +344,7 @@ def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> n
         + wrap(ax[None, None, :] - cz) ** 2
     )
     spec = sfft.rfftn(profile.density(r))
-    spec.flags.writeable = False  # the filters only read it
+    spec.flags.writeable = False  # the kick filter only reads it
     return spec
 
 
@@ -388,12 +355,19 @@ def _check_resolution(grid: FieldGrid, profile: MassProfile) -> None:
         )
 
 
-def _projection_rows(profile: MassProfile, grid: FieldGrid, spec: np.ndarray) -> np.ndarray:
-    """(3, n^3) read-only rows h^3 / omega_g irfftn(i k_a spec)."""
+@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
+def _kick_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
+    """(3, n^3) read-only rows h^3 / omega_g irfftn(i k_a amp f_hat).
+
+    Row a is the profile gradient (d_a f)(r - center), taken spectrally,
+    filtered with the amplitude filter amp: amp is real and even in k, so
+    filtering the noise and projecting equals projecting onto these rows.
+    """
     import scipy.fft as sfft
 
     n = grid.n
     _, kxd, kzd = _k_arrays(n, grid.h)
+    spec = _amplitude_filter(n, grid.h) * _profile_spectrum(profile, grid, center)
     pref = 1.0 / omega_g(profile) * grid.h**3
     rows = np.empty((3, n**3))
     for row, k in zip(rows, (kxd[:, None, None], kxd[None, :, None], kzd[None, None, :])):
@@ -401,26 +375,6 @@ def _projection_rows(profile: MassProfile, grid: FieldGrid, spec: np.ndarray) ->
         np.multiply(grad.ravel(), pref, out=row)
     rows.flags.writeable = False
     return rows
-
-
-@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
-def _gradient_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
-    """(3, n^3) real filter D with reduce_phi_to_w(field) = D @ field values.
-
-    Row a is the profile gradient h^3 / omega_g (d_a f)(r - center), taken
-    spectrally as irfftn(i k_a f_hat): the sharp edge of the uniform-sphere
-    profile never needs a real-space derivative.
-    """
-    return _projection_rows(profile, grid, _profile_spectrum(profile, grid, center))
-
-
-@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
-def _kick_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
-    # the amplitude filter is real and even in k, so filtering the noise and
-    # projecting equals projecting onto the filtered gradient rows; built
-    # from the spectrum, not from D, so a field loop caches one (3, n^3) array
-    amp = _amplitude_filter(grid.n, grid.h)
-    return _projection_rows(profile, grid, amp * _profile_spectrum(profile, grid, center))
 
 
 def _center_key(center) -> tuple:
@@ -452,16 +406,9 @@ def reduce_phi_to_w(
     Returns the 3-vector
         w_a = 1 / omega_g * int (d_a f)(r - center) Phi(r) d^3r
     carrying the sample's sqrt(dt) scaling, i.e. a Wiener increment with
-    identity covariance per unit time.  A sample from sample_phi_field
-    carries its white noise eta, and its kick is sqrt(dt) G @ eta through
-    the cached kick filter (kick_filter), whether or not its values were
-    read; no FFT runs.  A sample built by hand from its values is D @
-    values through the cached gradient filter.
+    identity covariance per unit time.  It is sqrt(dt) G @ eta for the
+    sample's white noise eta and the cached kick filter G (kick_filter);
+    no FFT runs.
     """
-    grid = field.grid
-    if field.noise is not None:
-        g = kick_filter(grid, profile, center)
-        return math.sqrt(field.dt) * (g @ field.noise.ravel())
-    _check_resolution(grid, profile)
-    d = _gradient_filter(profile, grid, _center_key(center))
-    return d @ field.values.ravel()
+    g = kick_filter(field.grid, profile, center)
+    return math.sqrt(field.dt) * (g @ field.noise.ravel())

@@ -21,7 +21,6 @@ import numpy as np
 from .ensemble_stats import (
     GRID_BOX,
     EnsembleConfig,
-    InitialSpec,
     estimate_diffusion,
     estimate_ke_rate,
     estimate_xp_covariance,
@@ -299,10 +298,7 @@ def criterion_09(workers: int = 1) -> CriterionResult:
               f"{w2:.6f} ({target:.6f} within 1%)")
 
     for variant in (Variant.GSSE, Variant.SSNE):
-        config = EnsembleConfig(
-            variant=variant, base_seed=105,
-            initial=InitialSpec.gaussian(0.0, 0.0, 2.0 + 0.0j),
-        )
+        config = EnsembleConfig(variant=variant, base_seed=105, a0=2.0 + 0.0j)
         records = run_ensemble(config, workers=workers)
         target = WIDTH2_TARGET[variant]
         dev = max(abs(d ** 2 / target - 1.0) for d in records.delta_x[:, -1])

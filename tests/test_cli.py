@@ -162,6 +162,14 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_seed_of_64_bits_or_more_is_refused(self, tmp_path, capsys):
+        # Philox keys hold 64 bits of seed: 2**64 would run seed 0's ensemble
+        rc = main(["ke-rate", "--seed", "18446744073709551616", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gravlab: base seed 18446744073709551616 is outside [0, 2**64)")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["ke-rate", "diffusion"])
     def test_rate_presets_refuse_small_ensembles_before_stepping(
             self, tmp_path, capsys, monkeypatch, command):

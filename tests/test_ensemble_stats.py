@@ -15,12 +15,13 @@ from gravlab.gaussian_dynamics import (
     GaussianState,
     Variant,
     kinetic_energy,
+    soliton_state,
     step,
 )
 from gravlab.grid_dynamics import CatState
 from gravlab.noise_field import BLOCK_CELLS, drive, wiener_increments
 
-GAUSS_SOLITON = dict(solver="gaussian", initial=es.InitialSpec.soliton())
+GAUSS_SOLITON = dict(solver="gaussian", a0=None)
 
 
 def small_config(variant, **over):
@@ -59,15 +60,13 @@ class TestConfigValidation:
             small_config(Variant.GSSE, t_final=0.0015, dt=1e-3)
 
     def test_initial_spec_validation(self):
-        with pytest.raises(DomainError):
-            es.InitialSpec("plane_wave")
-        with pytest.raises(DomainError):
-            es.InitialSpec.gaussian(0.0, 0.0, -1.0 + 0.5j)
+        for a0 in (-1.0 + 0.5j, 0.0, 1j):
+            with pytest.raises(DomainError, match="Re"):
+                small_config(Variant.GSSE, a0=a0)
 
     def test_auto_stride_targets_two_hundred_samples(self):
-        cfg = small_config(Variant.GSSE, t_final=10.0, dt=1e-3)
-        assert cfg.stride == 50
-        assert small_config(Variant.GSSE, t_final=0.1).stride == 1
+        assert es.record_stride(small_config(Variant.GSSE, t_final=10.0).n_steps) == 50
+        assert es.record_stride(small_config(Variant.GSSE, t_final=0.1).n_steps) == 1
 
 
 class TestRunEnsemble:
@@ -124,7 +123,7 @@ class TestRunEnsemble:
     def test_solver_failure_names_the_trajectory(self):
         cfg = small_config(
             Variant.GSSE, solver="grid", n_trajectories=3, t_final=0.01,
-            initial=es.InitialSpec.soliton(xbar=37.0),  # 3 from the edge of GRID_BOX
+            a0=0.006,  # a packet this wide reaches the edge of GRID_BOX at once
         )
         with pytest.raises(ContainmentError, match="trajectory 0"):
             es.run_ensemble(cfg)
@@ -135,16 +134,15 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("variant", [Variant.GSSE, Variant.SSNE])
     @pytest.mark.parametrize("initial", [
-        es.InitialSpec.soliton(0.3, -0.2),
-        es.InitialSpec.gaussian(0.5, 0.1, 2.0 - 0.7j),  # width relaxes
+        dict(a0=None),
+        dict(a0=2.0 - 0.7j),  # width relaxes
     ])
     def test_shared_width_matches_single_trajectory_runs(self, variant, initial):
-        cfg = small_config(variant, n_trajectories=7, t_final=1.0, base_seed=11,
-                           initial=initial)
+        cfg = small_config(variant, n_trajectories=7, t_final=1.0, base_seed=11, **initial)
         records = es.run_ensemble(cfg)
-        a0 = initial.resolve_a(variant)
-        start = GaussianState(initial.xbar, initial.pbar, a0)
-        times = [k * cfg.dt for k in range(0, cfg.n_steps + 1, cfg.stride)]
+        start = GaussianState(0.0, 0.0, initial["a0"] or soliton_state(variant).a)
+        stride = es.record_stride(cfg.n_steps)
+        times = [k * cfg.dt for k in range(0, cfg.n_steps + 1, stride)]
         np.testing.assert_array_equal(records.times, times)
         for j in range(len(records)):
             # reference: one trajectory stepped by hand along its own stream
@@ -152,7 +150,7 @@ class TestRunEnsemble:
             state, samples = start, [start]
             for k, dw in enumerate(dws, start=1):
                 state = step(state, variant, cfg.dt, dw)
-                if k % cfg.stride == 0:
+                if k % stride == 0:
                     samples.append(state)
             ref = {
                 "xbar": [s.xbar for s in samples],
@@ -195,7 +193,7 @@ class TestKineticEnergyRate:
     def test_perturbed_start_excludes_width_transient(self):
         cfg = es.EnsembleConfig(
             Variant.GSSE, solver="gaussian", n_trajectories=100, t_final=8.0,
-            dt=1e-3, base_seed=4, initial=es.InitialSpec.gaussian(0.0, 0.0, 2.0 + 0.0j),
+            dt=1e-3, base_seed=4, a0=2.0 + 0.0j,
         )
         records = es.run_ensemble(cfg)
         result = es.estimate_ke_rate(records)

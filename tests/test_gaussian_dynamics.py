@@ -19,7 +19,6 @@ from gravlab.gaussian_dynamics import (
     soliton_state,
     step,
     variant_coefficients,
-    width_flow_fixed_points,
 )
 from gravlab.noise_field import wiener_increments
 
@@ -81,27 +80,6 @@ class TestSolitonStates:
         assert product >= 0.5 * (1.0 - 1e-14)
         if variant is Variant.SNE:
             assert abs(product - 0.5) < 1e-15  # real a: minimal uncertainty
-
-
-class TestWidthFlowFixedPoints:
-    def test_match_soliton_states(self):
-        for v in Variant:
-            fps = width_flow_fixed_points(v)
-            assert fps[0].a == soliton_state(v).a
-            assert fps[0].physical and not fps[1].physical
-            assert fps[1].a == -fps[0].a
-
-    def test_eigenvalues_and_stability(self):
-        fp = width_flow_fixed_points(Variant.SNE)[0]
-        assert abs(fp.eigenvalue - (-2j)) < 1e-14
-        assert fp.stability == "neutral"
-        fp = width_flow_fixed_points(Variant.GSSE)[0]
-        assert abs(fp.eigenvalue - (-2 - 2j)) < 1e-14
-        assert fp.stability == "attracting"
-        fp = width_flow_fixed_points(Variant.SSNE)[0]
-        assert abs(fp.eigenvalue - (-SQ2 - SQ2 * 1j)) < 1e-14
-        assert fp.stability == "attracting"
-        assert width_flow_fixed_points(Variant.GSSE)[1].stability == "repelling"
 
 
 class TestWidthFlow:

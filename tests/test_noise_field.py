@@ -5,6 +5,11 @@ Oracles used here are independent of the implementation internals:
 * an analytic single-mode field whose reduction is known in closed form,
 * large-sample moment checks with seeded generators.
 
+The library never builds a sample's field: its kick goes straight from the
+white noise.  phi_values synthesizes the field here, from the library's
+white noise and amplitude filter, for the field statistics and as input to
+the spectral references.
+
 Units are natural, G = hbar = M = 1, as in the implementation.
 """
 import math
@@ -78,12 +83,19 @@ def reduced_w_expected_cov(profile, grid):
     return out
 
 
-def reduced_w_full_fft(field, profile):
-    """Reimplementation of the reduction with the full complex FFT."""
-    grid = field.grid
+def phi_values(grid, dt, base_seed, sample_index=0):
+    """The field of sample (base_seed, sample_index), synthesized eagerly: its
+    white noise filtered with sqrt(4 pi / k^2) / h^1.5, scaled by sqrt(dt)."""
+    spec = sfft.rfftn(noise_field._white_noise(grid, base_seed, sample_index))
+    spec *= noise_field._amplitude_filter(grid.n, grid.h)
+    return math.sqrt(dt) * sfft.irfftn(spec, s=(grid.n,) * 3)
+
+
+def reduced_w_full_fft(values, grid, profile):
+    """Reimplementation of the reduction of field values with the full complex FFT."""
     h = grid.h
     fhat = sfft.fftn(profile_on_grid(profile, grid))
-    phat = sfft.fftn(field.values)
+    phat = sfft.fftn(values)
     kd = spectral_deriv_k(grid.n, h)
     pref = 1.0 / omega_g(profile) * h**3 / grid.n**3
     w = np.empty(3)
@@ -137,9 +149,26 @@ class TestWienerIncrements:
         with pytest.raises(DomainError):
             wiener_increments(**kwargs)
 
+    def test_key_is_the_seed_and_the_stream(self):
+        # valid seeds keep their draws: the Philox key is base_seed + (stream << 64)
+        for seed in (0, 5, (1 << 64) - 1):
+            gen = np.random.Generator(np.random.Philox(key=seed + (3 << 64)))
+            np.testing.assert_array_equal(wiener_increments(seed, 3, 4, 1.0).increments,
+                                          gen.standard_normal(4))
+
+    def test_seed_of_64_bits_or_more_does_not_alias_a_smaller_one(self):
+        g = FieldGrid(8, 2.0)
+        for seed in (1 << 64, (1 << 64) + 5):
+            with pytest.raises(DomainError, match="outside"):
+                wiener_increments(seed, 0, 3, 1.0)
+            with pytest.raises(DomainError, match="outside"):
+                drive(0, lambda state, dw: state, seed, [0], 1.0, [3], lambda state: state)
+            with pytest.raises(DomainError, match="outside"):
+                sample_phi_field(g, 1.0, seed, 0)
+
     def test_path_metadata(self):
         p = wiener_increments(1, 2, 90, 0.5)
-        assert p.n_steps == 90
+        assert p.increments.shape == (90,)
         assert (p.base_seed, p.trajectory_index, p.dt) == (1, 2, 0.5)
 
 
@@ -225,24 +254,29 @@ class TestPhiField:
         g = FieldGrid(16, 4.0)
         a = sample_phi_field(g, 1e-3, 42, 5)
         b = sample_phi_field(g, 1e-3, 42, 5)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, sample_phi_field(g, 1e-3, 42, 6).values)
+        assert np.array_equal(a.noise, b.noise)
+        assert not np.array_equal(a.noise, sample_phi_field(g, 1e-3, 42, 6).noise)
+        # the noise phi_values filters, and no caller can write to it
+        assert np.array_equal(a.noise, noise_field._white_noise(g, 42, 5))
+        assert not a.noise.flags.writeable
 
     def test_zero_spatial_mean(self):
-        g = FieldGrid(24, 5.0)
-        f = sample_phi_field(g, 1.0, 7, 0)
-        assert abs(f.values.mean()) < 1e-12 * f.values.std()
+        v = phi_values(FieldGrid(24, 5.0), 1.0, 7, 0)
+        assert abs(v.mean()) < 1e-12 * v.std()
 
     def test_sqrt_dt_scaling_exact(self):
         g = FieldGrid(16, 4.0)
+        prof = MassProfile.gaussian_ball(2.0)
         a = sample_phi_field(g, 0.01, 3, 1)
         b = sample_phi_field(g, 0.09, 3, 1)
-        assert np.allclose(b.values, 3.0 * a.values, rtol=1e-13, atol=0.0)
+        assert np.array_equal(a.noise, b.noise)
+        assert np.allclose(reduce_phi_to_w(b, prof), 3.0 * reduce_phi_to_w(a, prof),
+                           rtol=1e-13, atol=0.0)
 
     def test_field_stream_separate_from_trajectory_stream(self):
         # same base seed and index must not reuse the trajectory bitstream
         g = FieldGrid(16, 4.0)
-        f = sample_phi_field(g, 1.0, 11, 3).values.ravel()[:4000]
+        f = sample_phi_field(g, 1.0, 11, 3).noise.ravel()[:4000]
         w = wiener_increments(11, 3, 4000, 1.0).increments
         assert abs(np.corrcoef(f, w)[0, 1]) < 0.06
 
@@ -253,7 +287,7 @@ class TestPhiField:
         per_sample = np.empty(n_samples)
         var_sample = np.empty(n_samples)
         for i in range(n_samples):
-            v = sample_phi_field(g, 1.0, 909, i).values
+            v = phi_values(g, 1.0, 909, i)
             per_sample[i] = np.mean(
                 [np.mean(v * np.roll(v, 1, axis=a)) for a in range(3)]
             )
@@ -290,35 +324,35 @@ class TestReduceToW:
     def test_single_mode_field_closed_form(self):
         # Phi = sin(k1 x) picks out one lattice mode; the projection is then
         # an exact finite sum: w_x = -pref * k1 * h^3 sum f cos(k1 x), w_y = w_z = 0.
+        # This validates the spectral references the kick is checked against.
         g = FieldGrid(48, 6.0)
         prof = MassProfile.uniform_sphere(1.0)
         ax = g.axis()
         k1 = 2.0 * math.pi / g.box
-        vals = np.broadcast_to(np.sin(k1 * ax)[:, None, None], (g.n,) * 3).copy()
-        field = PhiFieldSample(g, 1.0, vals, 0, 0)
-        w = reduce_phi_to_w(field, prof)
+        vals = np.broadcast_to(np.sin(k1 * ax)[:, None, None], (g.n,) * 3)
         fv = profile_on_grid(prof, g)
         pref = 1.0 / omega_g(prof)
         expected = -pref * k1 * g.h**3 * float(np.sum(fv * np.cos(k1 * ax)[:, None, None]))
-        assert abs(w[0] - expected) < 1e-12 * abs(expected)
-        assert abs(w[1]) < 1e-12 * abs(expected)
-        assert abs(w[2]) < 1e-12 * abs(expected)
+        for w in (reduced_w_full_fft(vals, g, prof), reduced_w_half_spectrum(vals, g, prof)):
+            assert abs(w[0] - expected) < 1e-12 * abs(expected)
+            assert abs(w[1]) < 1e-12 * abs(expected)
+            assert abs(w[2]) < 1e-12 * abs(expected)
 
     def test_matches_full_spectrum_reimplementation(self):
         g = FieldGrid(32, 6.0)
         prof = MassProfile.gaussian_ball(1.6)
-        f = sample_phi_field(g, 1.0, 13, 2)
-        w = reduce_phi_to_w(f, prof)
-        w_ref = reduced_w_full_fft(f, prof)
+        w = reduce_phi_to_w(sample_phi_field(g, 1.0, 13, 2), prof)
+        w_ref = reduced_w_full_fft(phi_values(g, 1.0, 13, 2), g, prof)
         assert np.allclose(w, w_ref, rtol=1e-9, atol=1e-12)
 
     def test_off_center_reduction(self):
-        # shifting field and reduction center together must leave w unchanged
+        # shifting the noise, and so the field, and the reduction center
+        # together must leave w unchanged
         g = FieldGrid(32, 6.0)
         prof = MassProfile.gaussian_ball(1.6)
         f = sample_phi_field(g, 1.0, 21, 0)
         shift = 5  # cells
-        rolled = PhiFieldSample(g, 1.0, np.roll(f.values, shift, axis=0), 21, 0)
+        rolled = PhiFieldSample(g, 1.0, 21, 0, np.roll(f.noise, shift, axis=0))
         w0 = reduce_phi_to_w(f, prof)
         w1 = reduce_phi_to_w(rolled, prof, center=(shift * g.h, 0.0, 0.0))
         assert np.allclose(w0, w1, rtol=1e-9, atol=1e-12)
@@ -348,14 +382,12 @@ class TestReduceToW:
             reduce_phi_to_w(sample_phi_field(g, 1.0, 1), MassProfile.gaussian_ball(0.75))
 
 
-def reduced_w_half_spectrum(field, profile, center=(0.0, 0.0, 0.0)):
-    """The reduction as a weighted sum over the rfftn half spectrum.
+def reduced_w_half_spectrum(values, grid, profile, center=(0.0, 0.0, 0.0)):
+    """The reduction of field values as a weighted sum over the rfftn half spectrum.
 
-    This is the spectral form the cached gradient filter replaced: Parseval
-    weights 2 for the interior kz planes and 1 for kz = 0 and Nyquist,
-    derivative wavenumbers with Nyquist zeroed.
+    Parseval weights 2 for the interior kz planes and 1 for kz = 0 and
+    Nyquist, derivative wavenumbers with Nyquist zeroed.
     """
-    grid = field.grid
     n, h, box = grid.n, grid.h, grid.box
     ax = grid.axis()
 
@@ -368,7 +400,7 @@ def reduced_w_half_spectrum(field, profile, center=(0.0, 0.0, 0.0)):
         + wrap(ax[None, None, :] - center[2]) ** 2
     )
     fhat = sfft.rfftn(profile.density(r))
-    spec = sfft.rfftn(field.values)
+    spec = sfft.rfftn(values)
     kx = spectral_deriv_k(n, h)
     kz = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
     wt = np.full(kz.shape, 2.0)
@@ -393,51 +425,11 @@ CENTERED_SPHERE = (FieldGrid(52, 6.2), MassProfile.uniform_sphere(1.0), (0.0, 0.
 class TestFilters:
     @pytest.mark.parametrize("grid, profile, center", [OFF_CENTER_BALL, CENTERED_SPHERE])
     def test_reduction_matches_half_spectrum_sum(self, grid, profile, center):
-        for i in range(3):
+        for i in (0, 1, 2, 7, 1000):
             f = sample_phi_field(grid, 0.5, 8, i)
             assert_relative(reduce_phi_to_w(f, profile, center),
-                            reduced_w_half_spectrum(f, profile, center), 1e-13)
-
-    @pytest.mark.parametrize("grid, profile, center", [OFF_CENTER_BALL, CENTERED_SPHERE])
-    def test_sampled_kick_equals_projected_values(self, grid, profile, center):
-        for i in (0, 1, 7, 1000):
-            field = sample_phi_field(grid, 0.3, 1618, i)
-            w = reduce_phi_to_w(field, profile, center)
-            by_hand = PhiFieldSample(grid, 0.3, field.values, 1618, i)
-            assert_relative(w, reduce_phi_to_w(by_hand, profile, center), 1e-13)
-
-    def test_kick_does_not_depend_on_reading_values(self):
-        grid, prof, center = OFF_CENTER_BALL
-        unread = sample_phi_field(grid, 0.3, 5, 2)
-        read = sample_phi_field(grid, 0.3, 5, 2)
-        read.values
-        w = reduce_phi_to_w(unread, prof, center)
-        assert np.array_equal(w, reduce_phi_to_w(read, prof, center))
-        unread.values
-        assert np.array_equal(w, reduce_phi_to_w(unread, prof, center))
-
-    def test_values_are_the_eager_synthesis(self):
-        grid, dt = FieldGrid(24, 5.0), 0.3
-        for i in (0, 7):
-            # eager synthesis: filter the sample's normals, then scale by sqrt(dt)
-            spec = sfft.rfftn(noise_field._white_noise(grid, 1618, i))
-            spec *= noise_field._amplitude_filter(grid.n, grid.h)
-            eager = sfft.irfftn(spec, s=(grid.n,) * 3, overwrite_x=True)
-            eager *= math.sqrt(dt)
-            field = sample_phi_field(grid, dt, 1618, i)
-            assert np.array_equal(field.values, eager)
-            assert field.values is field.values
-            assert not field.values.flags.writeable and not field.noise.flags.writeable
-
-    @pytest.mark.parametrize("grid, profile, center", [OFF_CENTER_BALL, CENTERED_SPHERE])
-    def test_kick_filter_is_the_filtered_gradient_filter(self, grid, profile, center):
-        n = grid.n
-        amp = noise_field._amplitude_filter(n, grid.h)
-        d = noise_field._gradient_filter(profile, grid, noise_field._center_key(center))
-        g = noise_field.kick_filter(grid, profile, center)
-        for row, d_row in zip(g, d):
-            ref = sfft.irfftn(amp * sfft.rfftn(d_row.reshape((n,) * 3)), s=(n,) * 3).ravel()
-            assert_relative(row, ref, 1e-13)
+                            reduced_w_half_spectrum(phi_values(grid, 0.5, 8, i), grid,
+                                                    profile, center), 1e-13)
 
     def test_kick_covariance_is_the_exact_lattice_covariance(self):
         grid, prof, _ = CENTERED_SPHERE
@@ -452,8 +444,6 @@ class TestFilters:
         with pytest.raises(ResolutionError):
             reduce_phi_to_w(field, coarse)
         with pytest.raises(ResolutionError):
-            reduce_phi_to_w(PhiFieldSample(grid, 1.0, field.values, 1, 0), coarse)
-        with pytest.raises(ResolutionError):
             noise_field.kick_filter(grid, coarse)
         with pytest.raises(DomainError):
             sample_phi_field(grid, 0.0, 1)
@@ -461,19 +451,6 @@ class TestFilters:
             sample_phi_field(grid, 0.1, -1)
         with pytest.raises(DomainError):
             sample_phi_field(grid, 0.1, 1, 1 << 63)
-        with pytest.raises(DomainError):
-            PhiFieldSample(grid, 1.0, None, 1, 0)
-        with pytest.raises(DomainError):
-            PhiFieldSample(grid, 1.0, field.values, 1, 0, noise=field.noise)
-
-    def test_sampled_loop_builds_no_gradient_filter(self):
-        grid, prof, center = OFF_CENTER_BALL
-        noise_field._gradient_filter.cache_clear()
-        for i in range(4):
-            field = sample_phi_field(grid, 1.0, 3, i)
-            reduce_phi_to_w(field, prof, center)
-            field.values
-        assert noise_field._gradient_filter.cache_info().currsize == 0
 
 
 class TestFilterCaches:
@@ -482,7 +459,6 @@ class TestFilterCaches:
         caches = {
             noise_field._k_arrays: (grid.n, grid.h),
             noise_field._amplitude_filter: (grid.n, grid.h),
-            noise_field._gradient_filter: (prof, grid, center),
             noise_field._kick_filter: (prof, grid, center),
         }
         for cached, args in caches.items():
@@ -496,4 +472,4 @@ class TestFilterCaches:
                     arr[...] = 0.0
         assert noise_field.kick_filter(grid, prof, center) is noise_field._kick_filter(
             prof, grid, center)
-        assert noise_field._gradient_filter(prof, grid, center).shape == (3, grid.n**3)
+        assert noise_field._kick_filter(prof, grid, center).shape == (3, grid.n**3)
