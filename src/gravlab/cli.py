@@ -38,7 +38,7 @@ from .ensemble_stats import (
 )
 from .errors import ConfigError, GravlabError, StatisticsError
 from .gaussian_dynamics import GaussianState, Variant, soliton_state, step
-from .grid_dynamics import CatState, coherence_series
+from .grid_dynamics import COHERENCE_BOX, SOFT_KERNEL, CatState, coherence_series
 from .model_core import (
     MassProfile,
     delta_e_g,
@@ -48,21 +48,6 @@ from .model_core import (
 )
 
 UNITS = "hbar = mass = omega_g = 1"
-
-# every settings key a config file may set, with its parser
-_KEY_TYPES = {
-    "seed": int,
-    "workers": int,
-    "dt": float,
-    "trajectories": int,
-    "t_final": float,
-    "variant": str,
-    "profile": str,
-    "out_dir": str,
-    "radius": float,
-    "separation": float,
-    "study": str,
-}
 
 # the settings every command reads (its metadata records seed and workers)
 _SHARED_DEFAULTS = {"seed": 0, "workers": 0, "out_dir": "."}
@@ -87,16 +72,25 @@ _CAT_STUDY_DEFAULTS = {
     "coherence": {"separation": 2.0, "dt": 1e-3, "t_final": 0.3},
 }
 
-
-# the flag of each command setting (t_final is set in a config file only)
-_FLAGS = {
-    "variant": {"choices": ["sne", "gsse", "ssne"], "help": "dynamics variant"},
+# every setting: its parser ("type", default str), its "choices" if it has
+# a fixed set, and its flag's help.  Flags and config values are parsed and
+# checked alike.  t_final is set in a config file only; seed, workers and
+# out_dir have flags on every command, the rest on the commands that read them
+_SETTINGS = {
+    "seed": {"type": int, "help": "base seed for all trajectory noise streams"},
+    "workers": {"type": int,
+                "help": "worker threads for grid ensembles and the cat coherence study "
+                        "(default: available cores); Gaussian ensembles run on one "
+                        "thread, where threads made them slower"},
+    "out_dir": {"type": Path, "help": "directory for CSV/JSON output (default: .)"},
+    "t_final": {"type": float},
+    "variant": {"choices": ("sne", "gsse", "ssne"), "help": "dynamics variant"},
     "dt": {"type": float, "help": "integrator step"},
     "trajectories": {"type": int, "help": "ensemble size"},
-    "profile": {"choices": ["uniform", "gaussian"], "help": "mass density profile"},
+    "profile": {"choices": ("uniform", "gaussian"), "help": "mass density profile"},
     "radius": {"type": float,
                "help": "profile size parameter (sphere radius or ball width)"},
-    "study": {"choices": ["collapse", "coherence"]},
+    "study": {"choices": tuple(_CAT_STUDY_DEFAULTS)},
     "separation": {"type": float,
                    "help": "branch separation (cat) or initial packet separation (attract)"},
 }
@@ -122,22 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", type=Path, default=None,
                         help="KEY=VALUE settings file; flags override it")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="base seed for all trajectory noise streams")
-    shared.add_argument("--workers", type=int, default=None,
-                        help="worker threads for grid ensembles and the cat "
-                             "coherence study (default: available cores); Gaussian "
-                             "ensembles run on one thread, where threads made them "
-                             "slower")
-    shared.add_argument("--out-dir", type=Path, default=None,
-                        help="directory for CSV/JSON output (default: .)")
+    for key in _SHARED_DEFAULTS:
+        shared.add_argument(f"--{key.replace('_', '-')}", default=None, **_SETTINGS[key])
 
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text in _COMMAND_HELP.items():
         command_parser = sub.add_parser(command, parents=[shared], help=help_text)
         for key in _COMMAND_DEFAULTS[command]:
-            if key in _FLAGS:
-                command_parser.add_argument(f"--{key}", default=None, **_FLAGS[key])
+            if key != "t_final":
+                command_parser.add_argument(f"--{key}", default=None, **_SETTINGS[key])
     sub.choices["verify"].add_argument("--criteria", type=int, nargs="+", default=None,
                                        help="criterion numbers to run (default: all)")
     return parser
@@ -146,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config(path: Path, command: str, keys) -> dict:
     """Parse a KEY=VALUE file; '#' starts a comment, blank lines are skipped.
 
-    Every key must be one of `keys`, the settings `command` reads.
+    Every key must be one of `keys`, the settings `command` reads, and
+    every value must parse, and be one of its choices, as its flag's would.
     """
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -159,12 +147,16 @@ def _read_config(path: Path, command: str, keys) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _KEY_TYPES:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+        spec = _SETTINGS[key]
         try:
-            values[key] = _KEY_TYPES[key](value.strip())
+            values[key] = spec.get("type", str)(value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if "choices" in spec and values[key] not in spec["choices"]:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {values[key]!r} "
+                              f"is not one of {', '.join(spec['choices'])}")
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: {command} does not read setting {key!r}")
     return values
@@ -187,8 +179,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         if settings[key] is None:
             settings[key] = value
     if command == "cat":
-        if settings["study"] not in _CAT_STUDY_DEFAULTS:
-            raise ConfigError(f"unknown cat study {settings['study']!r}")
         for key, value in _CAT_STUDY_DEFAULTS[settings["study"]].items():
             if settings[key] is None:
                 settings[key] = value
@@ -199,10 +189,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         affinity = getattr(os, "sched_getaffinity", None)
         settings["workers"] = len(affinity(0)) if affinity else os.cpu_count() or 1
     if settings.get("variant") is not None:
-        try:
-            settings["variant"] = Variant[str(settings["variant"]).upper()]
-        except KeyError:
-            raise ConfigError(f"unknown variant {settings['variant']!r}") from None
+        settings["variant"] = Variant[settings["variant"].upper()]
     settings["out_dir"] = Path(settings["out_dir"])
     return settings
 
@@ -343,14 +330,13 @@ def _run_cat(settings: dict) -> tuple:
         print(f"{stats.name} = {stats.estimate:.6f}")
         results, extra, fields = [stats], {"threshold": COLLAPSE_THRESHOLD}, {}
     else:
-        cat, grid = CatState(4.0 + 0.0j, settings["separation"]), verification.COHERENCE_BOX
+        cat, grid = CatState(4.0 + 0.0j, settings["separation"]), COHERENCE_BOX
         n_steps = step_count(settings["t_final"], settings["dt"])
         sample_steps = np.unique(np.round(np.linspace(0, n_steps, 11)).astype(int))
         times = sample_steps * settings["dt"]
         coherence = coherence_series(
-            range(settings["trajectories"]), cat, settings["variant"], times,
-            dt=settings["dt"], base_seed=settings["seed"],
-            workers=settings["workers"], **grid,
+            settings["trajectories"], cat, settings["variant"], times,
+            dt=settings["dt"], base_seed=settings["seed"], workers=settings["workers"],
         )
         rate = verification.decay_rate(times, coherence)
         table = out / "cat_coherence.csv"
@@ -372,15 +358,13 @@ def _run_attract(settings: dict) -> tuple:
     times, values, accel, classical = verification.attraction(
         settings["separation"], settings["dt"]
     )
-    kernel = verification.ATTRACT_KERNEL
     out = settings["out_dir"]
     table = out / "attract_separation.csv"
     summary = out / "attract_summary.json"
     _write_table(table, "time,separation", list(zip(times, values)))
     write_summary_json(
         None, summary,
-        _metadata(settings, kernel={"a_soft": kernel.a_soft, "strength": kernel.strength},
-                  grid=verification.ATTRACT_BOX),
+        _metadata(settings, kernel=SOFT_KERNEL, grid=verification.ATTRACT_BOX),
         fitted_acceleration=accel,
         classical_acceleration=classical,
         relative_deviation=abs(accel / classical - 1.0),

@@ -118,7 +118,6 @@ class EnsembleRecords:
     pbar: np.ndarray
     delta_x: np.ndarray
     kinetic: np.ndarray
-    a: np.ndarray
 
     def __post_init__(self):
         _read_only(self)
@@ -136,22 +135,16 @@ def _start_state(config: EnsembleConfig):
 
 
 def _gaussian_moments(st: GaussianState):
-    rows = np.size(st.xbar)
     return (
         np.asarray(st.xbar, dtype=float),
         np.asarray(st.pbar, dtype=float),
-        np.broadcast_to(np.sqrt(st.delta_x2), rows),
+        np.broadcast_to(np.sqrt(st.delta_x2), np.size(st.xbar)),
         np.asarray(kinetic_energy(st), dtype=float),
-        np.broadcast_to(st.a, rows),
     )
 
 
 def _grid_moments(st: GridState):
-    dx2 = st.delta_x2()
-    corr = st.correlation_xp()
-    # effective complex width read off the moments; exact for Gaussians
-    a_eff = 1.0 / (4.0 * dx2) - 0.5j * corr / dx2
-    return st.mean_x(), st.mean_p(), np.sqrt(dx2), st.kinetic_energy(), a_eff
+    return st.mean_x(), st.mean_p(), np.sqrt(st.delta_x2()), st.kinetic_energy()
 
 
 def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleRecords:
@@ -174,12 +167,11 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> EnsembleRecords:
     variant, dt = config.variant, config.dt
     steps = range(0, config.n_steps + 1, record_stride(config.n_steps))
     reads = run_batches(
-        lambda rows: _start_state(config).repeated(rows),
-        lambda st, dw: stepper(st, variant, dt, dw),
+        _start_state(config), lambda st, dw: stepper(st, variant, dt, dw),
         config.base_seed, range(config.n_trajectories), dt, steps,
         moments, workers, n_cells,
     )
-    # C-ordered (trajectory, sample) arrays: xbar, pbar, delta_x, kinetic, a
+    # C-ordered (trajectory, sample) arrays: xbar, pbar, delta_x, kinetic
     return EnsembleRecords(
         np.asarray([k * dt for k in steps]),
         *(np.stack(column, axis=1) for column in zip(*reads)),
@@ -391,14 +383,16 @@ def run_collapse_ensemble(
     Weights are identical whatever ``workers`` says: the trajectories are
     stepped in cache-sized blocks by ``noise_field.run_batches``, on
     ``workers`` threads, and a solver failure is raised naming the
-    trajectory at fault.
+    trajectory at fault.  SNE has no noise to move the weights, so it is
+    refused before anything is stepped.
     """
     if n_trajectories < 2:
         raise DomainError("need at least 2 trajectories")
+    if variant is Variant.SNE:
+        raise DomainError("collapse needs a noisy variant")
     n_steps = step_count(t_final, dt)
     weights = run_batches(
-        lambda rows: init_cat(cat, **GRID_BOX).repeated(rows),
-        lambda st, dw: step_quadratic(st, variant, dt, dw),
+        init_cat(cat, **GRID_BOX), lambda st, dw: step_quadratic(st, variant, dt, dw),
         base_seed, range(n_trajectories), dt, range(1, n_steps + 1),
         lambda st: branch_split_weights(st, cat), workers, GRID_BOX["n"],
     )

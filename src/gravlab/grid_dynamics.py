@@ -27,10 +27,10 @@ the returned amplitudes), and the next step starts from it: a step costs
 three FFTs (inverse, forward, inverse) instead of four, and every step
 still returns the real-space amplitudes.
 
-A deterministic nonlocal mode evolves the mean-field dynamics with a
-softened attractive kernel; that update is exactly unitary on the grid, so
-the norm is preserved to machine precision without renormalization.  It
-carries its spectrum the same way.
+A deterministic nonlocal mode evolves the mean-field dynamics with one
+softened attractive kernel, SOFT_KERNEL; that update is exactly unitary on
+the grid, so the norm is preserved to machine precision without
+renormalization.  It carries its spectrum the same way.
 
 scipy.fft is imported by the functions that transform, on first use:
 importing it loads scipy.special too, which runs without a grid (ke-rate,
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContainmentError, DomainError, StatisticsError, StepSizeError
+from .errors import ContainmentError, DomainError, ResolutionError, StatisticsError, StepSizeError
 from .gaussian_dynamics import Variant, variant_coefficients
 from .noise_field import run_batches
 
@@ -57,7 +57,13 @@ CONTAINMENT_TOL = 1e-8
 # amplitudes this far below the peak are roundoff, not physics; the noisy
 # local factor would otherwise grow that floor in a geometric random walk
 FLOOR_FRACTION = 1e-13
-MIN_COHERENCE_SEEDS = 100
+MIN_COHERENCE_TRAJECTORIES = 100
+# the coherence study's box: criterion 11 and the cat coherence preset
+COHERENCE_BOX = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
+# the softened pair kernel -strength / sqrt(d^2 + a_soft^2) of the nonlocal
+# mean field; strength plays the role of G M^2, and a_soft keeps the kernel
+# regular at contact so packets can overlap without a singularity
+SOFT_KERNEL = {"a_soft": 1.0, "strength": 5.0}
 
 
 @functools.lru_cache(maxsize=16)
@@ -170,18 +176,6 @@ class GridState:
         w, tot = self._spectral_weights()
         return np.sum(k**2 * w, axis=-1) / tot / 2.0
 
-    def correlation_xp(self):
-        """Symmetrized covariance <xp + px>/2 - <x><p>."""
-        import scipy.fft as sfft
-
-        _, kd = _k_grids(self.n, self.dx_grid)
-        psi = self.amplitudes
-        dpsi = sfft.ifft(1j * kd * self._fourier(), axis=-1)
-        xc = self.x - self.mean_x()[..., None]
-        raw = np.sum(np.conj(psi) * xc * (-1j) * dpsi, axis=-1).real
-        tot = np.sum(_abs2(psi), axis=-1)
-        return raw / tot
-
     def repeated(self, rows: int) -> "GridState":
         """A batch of `rows` independent copies of this single state."""
         amps = np.broadcast_to(self.amplitudes, (rows, self.n)).copy()
@@ -227,24 +221,6 @@ class CatState:
         return cells
 
 
-@dataclass(frozen=True)
-class SoftKernelSpec:
-    """Softened 1D pair kernel -strength / sqrt(dx^2 + a_soft^2).
-
-    strength plays the role of G M^2; a_soft keeps the kernel regular at
-    contact so packets can overlap without a singularity.
-    """
-
-    a_soft: float
-    strength: float
-
-    def __post_init__(self):
-        if not self.a_soft > 0:
-            raise DomainError("softening length must be positive")
-        if self.strength < 0:
-            raise DomainError("kernel strength must be non-negative")
-
-
 def make_axis(n: int = DEFAULT_N, x_min: float = DEFAULT_X_MIN, x_max: float = DEFAULT_X_MAX):
     if n < 16:
         raise DomainError("grid needs at least 16 cells")
@@ -252,6 +228,17 @@ def make_axis(n: int = DEFAULT_N, x_min: float = DEFAULT_X_MIN, x_max: float = D
         raise DomainError("empty grid domain")
     dx = (x_max - x_min) / n
     return x_min + dx * np.arange(n), dx
+
+
+def _check_resolved(a: complex, dx: float) -> None:
+    # the spectrum of exp(-a x^2) falls as exp(-k^2 Re(1/(4a))); at the
+    # Nyquist wavenumber pi/dx it must be below CONTAINMENT_TOL of its peak
+    if (math.pi / dx) ** 2 * (1.0 / (4.0 * a)).real < math.log(1.0 / CONTAINMENT_TOL):
+        raise ResolutionError(
+            f"a packet of width parameter {a} is not resolved by cells of {dx:.4g}: "
+            f"its spectrum at the Nyquist wavenumber exceeds {CONTAINMENT_TOL:.0e} "
+            f"of its peak; refine the grid"
+        )
 
 
 def init_gaussian(
@@ -266,6 +253,7 @@ def init_gaussian(
     if not np.real(a) > 0:
         raise DomainError("need Re(a) > 0 for a normalizable packet")
     x, dx = make_axis(n, x_min, x_max)
+    _check_resolved(complex(a), dx)
     spread = math.sqrt(1.0 / (4.0 * np.real(a)))
     if xbar - 6.0 * spread < x_min or xbar + 6.0 * spread > x_max:
         raise ContainmentError("grid does not contain 6 standard deviations around xbar")
@@ -283,6 +271,7 @@ def init_cat(
 ) -> GridState:
     """Normalized two-branch state centered on the origin."""
     x, dx = make_axis(n, x_min, x_max)
+    _check_resolved(complex(cat.a0), dx)
     half = 0.5 * cat.separation
     spread = cat.packet_delta_x
     if -half - 6.0 * spread < x_min or half + 6.0 * spread > x_max:
@@ -396,31 +385,31 @@ def step_quadratic(state: GridState, variant: Variant, dt: float, dW) -> GridSta
 
 
 @functools.lru_cache(maxsize=16)
-def _soft_kernel_spectrum(n: int, dx: float, a_soft: float, strength: float):
+def _soft_kernel_spectrum(n: int, dx: float):
     import scipy.fft as sfft
 
     # padded length 2n removes periodic wrap, making the convolution linear
     m = np.arange(2 * n)
     disp = dx * (((m + n) % (2 * n)) - n)
-    kern = -strength / np.sqrt(disp**2 + a_soft**2)
+    kern = -SOFT_KERNEL["strength"] / np.sqrt(disp**2 + SOFT_KERNEL["a_soft"] ** 2)
     spec = sfft.rfft(kern)
     spec.flags.writeable = False
     return spec
 
 
-def mean_field_potential(rho: np.ndarray, dx: float, kernel: SoftKernelSpec) -> np.ndarray:
+def mean_field_potential(rho: np.ndarray, dx: float) -> np.ndarray:
     """V(x) = int K_soft(x - y) rho(y) dy on the grid, rho = |psi|^2."""
     import scipy.fft as sfft
 
     n = rho.shape[-1]
     padded = np.zeros(rho.shape[:-1] + (2 * n,))
     np.multiply(rho, dx, out=padded[..., :n])
-    spec = _soft_kernel_spectrum(n, dx, kernel.a_soft, kernel.strength)
+    spec = _soft_kernel_spectrum(n, dx)
     return sfft.irfft(sfft.rfft(padded, axis=-1) * spec, axis=-1)[..., :n]
 
 
-def step_sne_nonlocal(state: GridState, kernel: SoftKernelSpec, dt: float) -> GridState:
-    """One deterministic mean-field step with the softened nonlocal kernel.
+def step_sne_nonlocal(state: GridState, dt: float) -> GridState:
+    """One deterministic mean-field step with the softened kernel SOFT_KERNEL.
 
     Strang split: half kinetic, full potential phase with V built from the
     current density (|psi| is constant during the phase substep, so this is
@@ -435,7 +424,7 @@ def step_sne_nonlocal(state: GridState, kernel: SoftKernelSpec, dt: float) -> Gr
     _check_kinetic_resolution(dt, state.dx_grid)
     half = _dealiased_half_kinetic_factor(state.n, state.dx_grid, float(dt))
     psi = sfft.ifft(state._fourier() * half, axis=-1, overwrite_x=True)
-    v = mean_field_potential(_abs2(psi), state.dx_grid, kernel)
+    v = mean_field_potential(_abs2(psi), state.dx_grid)
     psi *= np.exp(1j * (v * -dt))
     spectrum = sfft.fft(psi, axis=-1, overwrite_x=True)
     spectrum *= half
@@ -448,13 +437,7 @@ def step_sne_nonlocal(state: GridState, kernel: SoftKernelSpec, dt: float) -> Gr
     return GridState(psi, state.dx_grid, state.x0, deviation, spectrum)
 
 
-def separation_series(
-    state: GridState,
-    kernel: SoftKernelSpec,
-    dt: float,
-    n_steps: int,
-    stride: int,
-):
+def separation_series(state: GridState, dt: float, n_steps: int, stride: int):
     """Two-packet separation under the nonlocal mean field.
 
     Takes n_steps of step_sne_nonlocal and, every stride steps, records the
@@ -464,7 +447,7 @@ def separation_series(
     x = state.x
     times, separations = [], []
     for k in range(1, n_steps + 1):
-        state = step_sne_nonlocal(state, kernel, dt)
+        state = step_sne_nonlocal(state, dt)
         if k % stride == 0:
             rho = state.density()
             right, left = rho * (x > 0), rho * (x < 0)
@@ -476,21 +459,19 @@ def separation_series(
 
 
 def coherence_series(
-    seeds,
+    n_trajectories: int,
     cat: CatState,
     variant: Variant,
     times,
     dt: float = 1e-3,
     base_seed: int = 0,
-    n: int = DEFAULT_N,
-    x_min: float = DEFAULT_X_MIN,
-    x_max: float = DEFAULT_X_MAX,
     workers: int = 1,
 ) -> np.ndarray:
     """Normalized ensemble coherence between the two branches at each time.
 
-    Runs one trajectory per entry of seeds (trajectory stream indices under
-    base_seed) and evaluates the ensemble-mean displaced overlap
+    Runs trajectories 0 .. n_trajectories - 1 (stream indices under
+    base_seed) on COHERENCE_BOX and evaluates the ensemble-mean displaced
+    overlap
         Re mean_traj int psi*(x) psi(x + ell) dx / sqrt(w_L w_R)
     at the requested times, which must be multiples of dt; a time may be
     listed more than once.  The trajectories are stepped in cache-sized
@@ -498,9 +479,8 @@ def coherence_series(
     of all blocks are averaged at once, so the result is the same bytes
     whatever the worker count.
     """
-    seeds = list(seeds)
-    if len(seeds) < MIN_COHERENCE_SEEDS:
-        raise StatisticsError(f"need at least {MIN_COHERENCE_SEEDS} seeds")
+    if n_trajectories < MIN_COHERENCE_TRAJECTORIES:
+        raise StatisticsError(f"need at least {MIN_COHERENCE_TRAJECTORIES} trajectories")
     if variant is Variant.SNE:
         raise DomainError("coherence decay needs a noisy variant")
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -510,7 +490,7 @@ def coherence_series(
     if np.any(np.abs(steps_at * dt - times) > 1e-9) or np.any(times < 0):
         raise DomainError("times must be non-negative multiples of dt")
     steps, slot = np.unique(steps_at, return_inverse=True)
-    start = init_cat(cat, n, x_min, x_max)
+    start = init_cat(cat, **COHERENCE_BOX)
     ell_cells = cat.separation_cells(start.dx_grid)
 
     def overlap(st):
@@ -521,9 +501,8 @@ def coherence_series(
 
     # (read, trajectory) overlaps of every block
     seg = np.stack(run_batches(
-        start.repeated,
-        lambda st, dw: step_quadratic(st, variant, dt, dw),
-        base_seed, seeds, dt, steps, overlap, workers, n,
+        start, lambda st, dw: step_quadratic(st, variant, dt, dw),
+        base_seed, range(n_trajectories), dt, steps, overlap, workers, start.n,
     ))
     # branch masses are martingales, so the t=0 weights normalize the mean;
     # its real part avoids the upward folding bias of |mean| at low coherence

@@ -160,30 +160,31 @@ def drive(
 
 
 def run_batches(
-    start: Callable, advance: Callable, base_seed: int, indices: Sequence[int], dt: float,
+    start, advance: Callable, base_seed: int, indices: Sequence[int], dt: float,
     steps: Sequence[int], read: Callable, workers: int, n_cells: int | None = None,
 ) -> list:
     """drive over contiguous batches of indices, joined in index order.
 
-    Each batch runs drive(start(rows), advance, ...), so the start is built
-    inside the batch.  Returns drive's contract for the whole ensemble: for
-    each declared step, read's output for all trajectories in index order,
-    with tuples joined field by field.  Grid ensembles pass n_cells, the
-    grid size, so that no batch holds more than BLOCK_CELLS // n_cells
-    rows.  There are at least `workers` batches, split as np.array_split
-    does; with workers == 1 they run on the calling thread, otherwise on
-    min(workers, batches) pool threads.  Every per-row operation of the
-    steppers is independent of its batch, so the reads do not depend on
-    the batching.  When a batch fails with a solver error, its trajectories
-    are rerun one by one and the error is raised again naming the first
-    one that fails.
+    Every trajectory starts from the one state start, which the caller
+    builds, so a bad start raises once, before any batch: each batch runs
+    drive(start.repeated(rows), advance, ...).  Returns drive's contract for
+    the whole ensemble: for each declared step, read's output for all
+    trajectories in index order, with tuples joined field by field.  Grid
+    ensembles pass n_cells, the grid size, so that no batch holds more than
+    BLOCK_CELLS // n_cells rows.  There are at least `workers` batches,
+    split as np.array_split does; with workers == 1 they run on the calling
+    thread, otherwise on min(workers, batches) pool threads.  Every per-row
+    operation of the steppers is independent of its batch, so the reads do
+    not depend on the batching.  When a batch fails with a solver error, its
+    trajectories are rerun one by one and the error is raised again naming
+    the first one that fails.
     """
     if workers < 1:
         raise DomainError("workers must be >= 1")
     _check_seed(base_seed)  # a bad seed is no one trajectory's fault
 
     def run(batch):
-        return drive(start(len(batch)), advance, base_seed, batch, dt, steps, read)
+        return drive(start.repeated(len(batch)), advance, base_seed, batch, dt, steps, read)
 
     def attributed(batch):
         try:
@@ -323,26 +324,12 @@ def sample_phi_field(
     return PhiFieldSample(grid, dt, base_seed, sample_index, eta)
 
 
-def _profile_spectrum(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
-    """rfftn of the profile density sampled on the grid around `center`.
-
-    Displacements are minimum-image on the periodic box, so moving the center
-    by a whole number of cells is exactly a cyclic shift of the samples.
-    """
+def _profile_spectrum(profile: MassProfile, grid: FieldGrid) -> np.ndarray:
+    """rfftn of the profile density sampled on the grid, centered on the box."""
     import scipy.fft as sfft
 
     ax = grid.axis()
-    cx, cy, cz = center
-    box = grid.box
-
-    def wrap(d):
-        return (d + 0.5 * box) % box - 0.5 * box
-
-    r = np.sqrt(
-        wrap(ax[:, None, None] - cx) ** 2
-        + wrap(ax[None, :, None] - cy) ** 2
-        + wrap(ax[None, None, :] - cz) ** 2
-    )
+    r = np.sqrt(ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2)
     spec = sfft.rfftn(profile.density(r))
     spec.flags.writeable = False  # the kick filter only reads it
     return spec
@@ -356,10 +343,10 @@ def _check_resolution(grid: FieldGrid, profile: MassProfile) -> None:
 
 
 @functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
-def _kick_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.ndarray:
+def _kick_filter(profile: MassProfile, grid: FieldGrid) -> np.ndarray:
     """(3, n^3) read-only rows h^3 / omega_g irfftn(i k_a amp f_hat).
 
-    Row a is the profile gradient (d_a f)(r - center), taken spectrally,
+    Row a is the profile gradient d_a f, taken spectrally,
     filtered with the amplitude filter amp: amp is real and even in k, so
     filtering the noise and projecting equals projecting onto these rows.
     """
@@ -367,7 +354,7 @@ def _kick_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.nda
 
     n = grid.n
     _, kxd, kzd = _k_arrays(n, grid.h)
-    spec = _amplitude_filter(n, grid.h) * _profile_spectrum(profile, grid, center)
+    spec = _amplitude_filter(n, grid.h) * _profile_spectrum(profile, grid)
     pref = 1.0 / omega_g(profile) * grid.h**3
     rows = np.empty((3, n**3))
     for row, k in zip(rows, (kxd[:, None, None], kxd[None, :, None], kzd[None, None, :])):
@@ -377,15 +364,7 @@ def _kick_filter(profile: MassProfile, grid: FieldGrid, center: tuple) -> np.nda
     return rows
 
 
-def _center_key(center) -> tuple:
-    return tuple(float(x) for x in center)
-
-
-def kick_filter(
-    grid: FieldGrid,
-    profile: MassProfile,
-    center: tuple = (0.0, 0.0, 0.0),
-) -> np.ndarray:
+def kick_filter(grid: FieldGrid, profile: MassProfile) -> np.ndarray:
     """(3, n^3) filter G from a field sample's white noise to its kick.
 
     reduce_phi_to_w of a sample is sqrt(dt) G @ eta for the sample's unit
@@ -393,22 +372,18 @@ def kick_filter(
     on this lattice.  Cached and read-only.
     """
     _check_resolution(grid, profile)
-    return _kick_filter(profile, grid, _center_key(center))
+    return _kick_filter(profile, grid)
 
 
-def reduce_phi_to_w(
-    field: PhiFieldSample,
-    profile: MassProfile,
-    center: tuple = (0.0, 0.0, 0.0),
-) -> np.ndarray:
-    """Project a field sample onto the profile gradient around `center`.
+def reduce_phi_to_w(field: PhiFieldSample, profile: MassProfile) -> np.ndarray:
+    """Project a field sample onto the gradient of the profile at the box center.
 
     Returns the 3-vector
-        w_a = 1 / omega_g * int (d_a f)(r - center) Phi(r) d^3r
+        w_a = 1 / omega_g * int (d_a f)(r) Phi(r) d^3r
     carrying the sample's sqrt(dt) scaling, i.e. a Wiener increment with
     identity covariance per unit time.  It is sqrt(dt) G @ eta for the
     sample's white noise eta and the cached kick filter G (kick_filter);
     no FFT runs.
     """
-    g = kick_filter(field.grid, profile, center)
+    g = kick_filter(field.grid, profile)
     return math.sqrt(field.dt) * (g @ field.noise.ravel())

@@ -30,10 +30,12 @@ from .ensemble_stats import (
     write_records_csv,
     write_summary_json,
 )
+from .errors import StatisticsError
 from .gaussian_dynamics import GaussianState, Variant, soliton_state, step
 from .grid_dynamics import (
+    COHERENCE_BOX,
+    SOFT_KERNEL,
     CatState,
-    SoftKernelSpec,
     coherence_series,
     init_cat,
     init_gaussian,
@@ -58,11 +60,9 @@ from .noise_field import (
 )
 
 WIDTH2_TARGET = {Variant.SNE: 0.5, Variant.GSSE: 0.5, Variant.SSNE: 2.0**-0.5}
-# boxes of criteria 13 and 11 and the kernel of 13, shared with the attract
-# and cat presets; criteria 5 and 12 run on the grid ensembles' GRID_BOX
+# box of criterion 13, shared with the attract preset; criterion 11 runs on
+# COHERENCE_BOX, and criteria 5 and 12 on the grid ensembles' GRID_BOX
 ATTRACT_BOX = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
-ATTRACT_KERNEL = SoftKernelSpec(1.0, 5.0)
-COHERENCE_BOX = {"n": 2048, "x_min": -40.0, "x_max": 40.0}
 
 
 def separation_used(cat: CatState, box: dict) -> float:
@@ -335,8 +335,17 @@ def criterion_10(workers: int = 1) -> CriterionResult:
 
 
 def decay_rate(times, coherence, t_max: float = np.inf) -> float:
-    """Minus the slope of log coherence against time, over times <= t_max."""
+    """Minus the slope of log coherence against time, over times <= t_max.
+
+    Every coherence in that window must be positive: a sample that noise
+    took to zero or below has no logarithm, and StatisticsError names it.
+    """
     mask = times <= t_max + 1e-9
+    bad = np.flatnonzero(mask & ~(coherence > 0))  # a NaN is not positive either
+    if bad.size:
+        raise StatisticsError(
+            f"coherence {coherence[bad[0]]:.3g} at t = {times[bad[0]]:g} is not positive, "
+            f"so it has no decay rate; use more trajectories or an earlier t_final")
     return float(-np.polyfit(times[mask], np.log(coherence[mask]), 1)[0])
 
 
@@ -349,10 +358,8 @@ def criterion_11(workers: int = 1) -> CriterionResult:
 
     times_2 = np.round(np.arange(0.0, 0.31, 0.03), 10)
     series = {
-        variant: coherence_series(
-            range(1000), cats[2], variant, times_2,
-            base_seed=201, workers=workers, **COHERENCE_BOX,
-        )
+        variant: coherence_series(1000, cats[2], variant, times_2,
+                                  base_seed=201, workers=workers)
         for variant in (Variant.GSSE, Variant.SSNE)
     }
     rate_2 = decay_rate(times_2, series[Variant.GSSE], 0.30)
@@ -370,15 +377,15 @@ def criterion_11(workers: int = 1) -> CriterionResult:
     times_1 = np.round(np.arange(0.0, 1.21, 0.1), 10)
     rate_1 = decay_rate(
         times_1,
-        coherence_series(range(400), cats[1], Variant.GSSE,
-                         times_1, base_seed=202, workers=workers, **COHERENCE_BOX),
+        coherence_series(400, cats[1], Variant.GSSE, times_1, base_seed=202,
+                         workers=workers),
         1.2,
     )
     times_4 = np.round(np.arange(0.0, 0.076, 0.005), 10)
     rate_4 = decay_rate(
         times_4,
-        coherence_series(range(400), cats[4], Variant.GSSE,
-                         times_4, base_seed=203, workers=workers, **COHERENCE_BOX),
+        coherence_series(400, cats[4], Variant.GSSE, times_4, base_seed=203,
+                         workers=workers),
         0.075,
     )
     for (hi, lo), ratio in (((2, 1), rate_2 / rate_1), ((4, 2), rate_4 / rate_2)):
@@ -428,23 +435,22 @@ def attraction(separation: float, dt: float = 1e-3):
     parabola.  Returns (times, separations, fitted acceleration, softened
     two-body acceleration).
     """
-    kernel = ATTRACT_KERNEL
     times, values, _ = separation_series(
-        init_cat(CatState(3.0 + 0.0j, separation), **ATTRACT_BOX), kernel, dt, 300, 25
+        init_cat(CatState(3.0 + 0.0j, separation), **ATTRACT_BOX), dt, 300, 25
     )
     accel = float(2.0 * np.polyfit(times, values, 2)[0])
-    classical = -kernel.strength * separation / (separation**2 + kernel.a_soft**2) ** 1.5
+    strength, a_soft = SOFT_KERNEL["strength"], SOFT_KERNEL["a_soft"]
+    classical = -strength * separation / (separation**2 + a_soft**2) ** 1.5
     return times, values, accel, classical
 
 
 def criterion_13(workers: int = 1) -> CriterionResult:
     """Two packets under the nonlocal mean field attract; one packet does not."""
     del workers
-    box, kernel = ATTRACT_BOX, ATTRACT_KERNEL
     c = _Checks()
 
     _, separations, state = separation_series(
-        init_cat(CatState(1.1 + 0.0j, 5.0), **box), kernel, 1e-3, 2_500, 100
+        init_cat(CatState(1.1 + 0.0j, 5.0), **ATTRACT_BOX), 1e-3, 2_500, 100
     )
     c.add(bool(np.all(np.diff(separations) < 0)),
           f"packet separation decreases monotonically: {separations[0]:.3f} "
@@ -457,10 +463,10 @@ def criterion_13(workers: int = 1) -> CriterionResult:
           f"initial relative acceleration = {accel:.5f} vs softened two-body "
           f"value {classical:.5f} (within 5%)")
 
-    state = init_gaussian(1.5, 0.0, 0.5 + 0.0j, **box)
+    state = init_gaussian(1.5, 0.0, 0.5 + 0.0j, **ATTRACT_BOX)
     drift = 0.0
     for _ in range(1_500):
-        state = step_sne_nonlocal(state, kernel, 1e-3)
+        state = step_sne_nonlocal(state, 1e-3)
         drift = max(drift, abs(float(state.mean_p())))
     c.add(drift <= 1e-8,
           f"single packet self-force: max |mean p| = {drift:.1e} (<= 1e-8)")

@@ -9,11 +9,16 @@ import pytest
 from gravlab import __version__, cli, verification
 from gravlab.cli import main
 from gravlab.ensemble_stats import GRID_BOX, SCHEMA_VERSION
-from gravlab.grid_dynamics import CatState
+from gravlab.grid_dynamics import COHERENCE_BOX, CatState
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
 
 
 def _summary(path):
-    return json.loads(path.read_text())
+    """The summary at path, which must be strict JSON: no NaN or Infinity."""
+    return json.loads(path.read_text(), parse_constant=_not_json)
 
 
 class TestStatics:
@@ -126,6 +131,23 @@ class TestErrorPaths:
             main([*argv, "--out-dir", str(out)])
         assert exc.value.code == 2
         assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, line", [
+        (["statics"], "profile = sphere"),
+        (["ke-rate"], "variant = foo"),
+        (["cat"], "study = foo"),
+    ])
+    def test_config_value_outside_its_choices(self, tmp_path, capsys, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        out = tmp_path / "out"
+        rc = main([*argv, "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 2
+        key, value = line.split(" = ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"gravlab: config error: {cfg}:2: bad value for {key}: "
+                              f"'{value}' is not one of ")
         assert not out.exists()
 
     def test_unparseable_config_value(self, tmp_path, capsys):
@@ -345,8 +367,7 @@ class TestCat:
     def test_separation_used_is_whole_cells_of_each_study_box(self):
         # 8 / (80 / 1024) = 102.4 cells and 2 / (80 / 2048) = 51.2 cells
         collapse = verification.separation_used(CatState(1.5 + 0.0j, 8.0), GRID_BOX)
-        coherence = verification.separation_used(CatState(4.0 + 0.0j, 2.0),
-                                                 verification.COHERENCE_BOX)
+        coherence = verification.separation_used(CatState(4.0 + 0.0j, 2.0), COHERENCE_BOX)
         assert collapse == 102 * 80.0 / 1024
         assert coherence == 51 * 80.0 / 2048
 
@@ -383,6 +404,20 @@ class TestCat:
         assert len(lines) == 12
         # starts at 1 up to the same-branch displaced overlap, tiny here
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-2)
+
+    def test_coherence_that_noise_takes_below_zero_has_no_rate(self, tmp_path, capsys):
+        # e^(-32 t) at separation 8 sinks below the noise of 100 trajectories
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_final = 0.3\n")
+        out = tmp_path / "out"
+        rc = main(["cat", "--study", "coherence", "--variant", "ssne", "--separation", "8",
+                   "--trajectories", "100", "--seed", "0", "--config", str(cfg),
+                   "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gravlab: coherence ")
+        assert "at t = 0.24 is not positive" in err
+        assert list(out.iterdir()) == []
 
 
 class TestAttract:

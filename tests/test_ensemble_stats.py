@@ -10,7 +10,7 @@ import pytest
 from gravlab import ensemble_stats as es
 from gravlab import grid_dynamics as gd
 from gravlab import noise_field
-from gravlab.errors import ContainmentError, DomainError, StatisticsError
+from gravlab.errors import ContainmentError, DomainError, ResolutionError, StatisticsError
 from gravlab.gaussian_dynamics import (
     GaussianState,
     Variant,
@@ -40,7 +40,7 @@ def small_config(variant, **over):
 def records_equal(a, b):
     return all(
         np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("times", "xbar", "pbar", "delta_x", "kinetic", "a")
+        for name in ("times", "xbar", "pbar", "delta_x", "kinetic")
     )
 
 
@@ -94,7 +94,7 @@ class TestRunEnsemble:
         records = es.run_ensemble(cfg)
         np.testing.assert_array_equal(records.times, [k * 1e-3 for k in range(0, 501, 2)])
         assert records.times[0] == 0.0
-        for name in ("xbar", "pbar", "delta_x", "kinetic", "a"):
+        for name in ("xbar", "pbar", "delta_x", "kinetic"):
             values = getattr(records, name)
             assert values.shape == (20, 251)
             # one C-ordered row per trajectory
@@ -105,7 +105,7 @@ class TestRunEnsemble:
 
     def test_returned_arrays_are_read_only(self):
         records = es.run_ensemble(small_config(Variant.GSSE))
-        for name in ("times", "xbar", "pbar", "delta_x", "kinetic", "a"):
+        for name in ("times", "xbar", "pbar", "delta_x", "kinetic"):
             values = getattr(records, name)
             assert not values.flags.writeable
             with pytest.raises(ValueError):
@@ -127,6 +127,21 @@ class TestRunEnsemble:
         )
         with pytest.raises(ContainmentError, match="trajectory 0"):
             es.run_ensemble(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_start_narrower_than_a_cell_is_no_trajectorys_fault(self, monkeypatch, workers):
+        # every trajectory shares the start, so its error is raised once,
+        # before any batch runs, and names no trajectory
+        def driven(*args):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(noise_field, "drive", driven)
+        cfg = small_config(Variant.GSSE, solver="grid", n_trajectories=300,
+                           t_final=0.01, a0=1e4)
+        with pytest.raises(ResolutionError) as exc:
+            es.run_ensemble(cfg, workers=workers)
+        assert "trajectory" not in str(exc.value)
+        assert "width parameter (10000+0j)" in str(exc.value)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(DomainError):
@@ -157,7 +172,6 @@ class TestRunEnsemble:
                 "pbar": [s.pbar for s in samples],
                 "delta_x": [np.sqrt(s.delta_x2) for s in samples],
                 "kinetic": [kinetic_energy(s) for s in samples],
-                "a": [s.a for s in samples],
             }
             # row j is trajectory j
             for name, want in ref.items():
@@ -354,6 +368,16 @@ class TestCollapseStats:
             with pytest.raises(ValueError):
                 values[...] = 0.0
 
+    def test_noiseless_collapse_is_refused_before_stepping(self, monkeypatch):
+        # without noise the branch weights cannot move, so no row decides
+        def stepped(*args):
+            raise AssertionError("a noiseless ensemble was stepped")
+
+        monkeypatch.setattr(es, "step_quadratic", stepped)
+        with pytest.raises(DomainError, match="noisy variant"):
+            es.run_collapse_ensemble(CatState(1.5 + 0.0j, 4.0), Variant.SNE, 200, 1.0,
+                                     dt=5e-4)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_collapse_failure_names_the_trajectory(self, workers):
         # contained at the start (6 packet widths, 3 from the edges of
@@ -379,11 +403,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batches_bounded_and_cover_every_trajectory(self, batches, workers):
-        n_traj = 300  # three blocks of 128 rows at 512 cells, five of 64 at 1024
+        n_traj = 300  # ten blocks of 32 rows at 2048 cells, five of 64 at 1024
         runs = [
-            (512, lambda: gd.coherence_series(
-                range(n_traj), CatState(4.0 + 0.0j, 2.0), Variant.GSSE, [0.002],
-                workers=workers, n=512, x_min=-10.0, x_max=10.0)),
+            (gd.COHERENCE_BOX["n"], lambda: gd.coherence_series(
+                n_traj, CatState(4.0 + 0.0j, 2.0), Variant.GSSE, [0.002], workers=workers)),
             (es.GRID_BOX["n"], lambda: es.run_collapse_ensemble(
                 CatState(1.5 + 0.0j, 4.0), Variant.GSSE, n_traj, 0.002, workers=workers)),
             (es.GRID_BOX["n"], lambda: es.run_ensemble(small_config(
@@ -417,7 +440,7 @@ def handmade_records(times, rows, kinetic=None):
     values = np.asarray(rows)
     return es.EnsembleRecords(
         times=times, xbar=values, pbar=-values, delta_x=values[:, ::-1],
-        kinetic=values if kinetic is None else kinetic, a=values.astype(complex),
+        kinetic=values if kinetic is None else kinetic,
     )
 
 

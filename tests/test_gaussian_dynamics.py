@@ -275,7 +275,7 @@ class TestRunTrajectory:
         assert records.times.shape == (101,)
         assert np.allclose(np.diff(records.times), 2e-3, rtol=1e-12)
         assert records.times[0] == 0.0
-        for arr in (records.xbar, records.pbar, records.delta_x, records.kinetic, records.a):
+        for arr in (records.xbar, records.pbar, records.delta_x, records.kinetic):
             assert arr.shape == (2, 101)
         assert np.all(np.isfinite(records.xbar))
         assert np.allclose(records.delta_x, math.sqrt(0.5), rtol=1e-12)
@@ -291,7 +291,6 @@ class TestRunTrajectory:
         # row 3 is trajectory 3
         assert records.xbar[3, -1] == s.xbar
         assert records.pbar[3, -1] == s.pbar
-        assert records.a[3, -1] == s.a
 
 
 class TestVariantCoefficients:

@@ -2,6 +2,7 @@
 closed-form Gaussian propagator on shared noise, norm diagnostics, branch
 bookkeeping, collapse statistics, coherence, and the nonlocal mean-field
 mode."""
+import contextlib
 import math
 import sys
 
@@ -11,12 +12,28 @@ from scipy import fft as sfft
 
 from gravlab import ensemble_stats as es
 from gravlab import grid_dynamics as gd
+from gravlab import verification
 from gravlab import gaussian_dynamics as gauss
-from gravlab.errors import ContainmentError, DomainError, StatisticsError, StepSizeError
+from gravlab.errors import (
+    ContainmentError,
+    DomainError,
+    ResolutionError,
+    StatisticsError,
+    StepSizeError,
+)
 from gravlab.gaussian_dynamics import Variant, soliton_state
 from gravlab.noise_field import drive, wiener_increments
 
 BIG_BOX = dict(n=2048, x_min=-40.0, x_max=40.0)
+
+
+def correlation_xp(st):
+    """Symmetrized covariance <xp + px>/2 - <x><p> of a grid state."""
+    _, kd = gd._k_grids(st.n, st.dx_grid)
+    psi = st.amplitudes
+    dpsi = sfft.ifft(1j * kd * sfft.fft(psi, axis=-1), axis=-1)
+    xc = st.x - st.mean_x()[..., None]
+    return np.sum(np.conj(psi) * xc * (-1j) * dpsi, axis=-1).real / np.sum(st.density(), axis=-1)
 
 
 def batch_of(state, n_traj):
@@ -51,7 +68,7 @@ class TestGridStateMoments:
 
     def test_ssne_soliton_xp_correlation(self):
         st = gd.init_gaussian(0.0, 0.0, soliton_state(Variant.SSNE).a)
-        assert abs(st.correlation_xp() - 0.5) < 1e-6
+        assert abs(correlation_xp(st) - 0.5) < 1e-6
 
     def test_momentum_spread_matches_gaussian_formula(self):
         a = 0.8 - 0.3j
@@ -70,9 +87,6 @@ class TestGridStateMoments:
         np.testing.assert_allclose(batch.mean_p(), [s.mean_p() for s in singles],
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(batch.delta_x2(), [s.delta_x2() for s in singles], rtol=1e-12)
-        np.testing.assert_allclose(batch.correlation_xp(),
-                                   [s.correlation_xp() for s in singles],
-                                   rtol=1e-10, atol=1e-12)
 
 
 class TestInitValidation:
@@ -110,11 +124,20 @@ class TestInitValidation:
         with pytest.raises(ContainmentError):
             gd.init_cat(gd.CatState(4.0 + 0.0j, 39.0))
 
-    def test_kernel_validation(self):
-        with pytest.raises(DomainError):
-            gd.SoftKernelSpec(0.0, 5.0)
-        with pytest.raises(DomainError):
-            gd.SoftKernelSpec(1.0, -2.0)
+    @pytest.mark.parametrize("box, a0, resolved", [
+        (es.GRID_BOX, 25.0, False), (es.GRID_BOX, 1e4, False), ({}, 1e3 - 200j, False),
+        (es.GRID_BOX, 21.0, True), (es.GRID_BOX, 1.5, True), (gd.COHERENCE_BOX, 6.0, True),
+        ({}, 2.0, True),
+    ])
+    def test_start_must_be_resolved_by_the_grid(self, box, a0, resolved):
+        # refused when its spectrum at pi / dx exceeds CONTAINMENT_TOL of its
+        # peak, on GRID_BOX for a0 > (pi / dx)^2 / (4 ln 1e8) = 21.95; 1.5, 6.0
+        # and 2.0 are the narrowest starts the presets and the battery take
+        refused = pytest.raises(ResolutionError, match=r"width parameter .* cells of 0\.0")
+        for init in (lambda: gd.init_gaussian(0.0, 0.0, a0, **box),
+                     lambda: gd.init_cat(gd.CatState(a0, 4.0), **box)):
+            with contextlib.nullcontext() if resolved else refused:
+                init()
 
 
 class TestStepQuadratic:
@@ -242,50 +265,56 @@ class TestCoherence:
     def test_requires_enough_seeds(self):
         cat = gd.CatState(4.0 + 0.0j, 2.0)
         with pytest.raises(StatisticsError):
-            gd.coherence_series(range(10), cat, Variant.GSSE, [0.1])
+            gd.coherence_series(10, cat, Variant.GSSE, [0.1])
 
     def test_rejects_noiseless_variant_and_bad_times(self):
         cat = gd.CatState(4.0 + 0.0j, 2.0)
         with pytest.raises(DomainError):
-            gd.coherence_series(range(100), cat, Variant.SNE, [0.1])
+            gd.coherence_series(100, cat, Variant.SNE, [0.1])
         with pytest.raises(DomainError):
-            gd.coherence_series(range(100), cat, Variant.GSSE, [0.00037], dt=1e-3)
+            gd.coherence_series(100, cat, Variant.GSSE, [0.00037], dt=1e-3)
 
     def test_decay_rate_tracks_lindblad_prediction(self):
         cat = gd.CatState(4.0 + 0.0j, 4.0)
         times = np.arange(0.0, 0.101, 0.01)
-        coh = gd.coherence_series(range(150), cat, Variant.GSSE, times,
-                                  dt=1e-3, base_seed=23, **BIG_BOX)
+        coh = gd.coherence_series(150, cat, Variant.GSSE, times, dt=1e-3, base_seed=23)
         rate = -np.polyfit(times, np.log(coh), 1)[0]
         # M omega_g^2 ell^2 / (2 hbar) = 8 in natural units
         assert abs(rate - 8.0) < 2.0
 
+    def test_decay_rate_refuses_a_non_positive_coherence(self):
+        times = np.array([0.0, 0.1, 0.2, 0.3])
+        coherence = np.array([1.0, 0.5, -0.01, 0.02])
+        rate = verification.decay_rate(times, coherence, 0.1)
+        assert rate == pytest.approx(math.log(2.0) / 0.1, rel=1e-12)
+        with pytest.raises(StatisticsError, match="-0.01 at t = 0.2 is not positive"):
+            verification.decay_rate(times, coherence)
+        with pytest.raises(StatisticsError, match="nan at t = 0.1 is not positive"):
+            verification.decay_rate(times, np.array([1.0, np.nan, 0.3, 0.2]))
+
     def test_repeated_times_fill_every_slot(self):
         cat = gd.CatState(4.0 + 0.0j, 2.0)
-        box = dict(n=256, x_min=-10.0, x_max=10.0)
-        coh = gd.coherence_series(range(100), cat, Variant.GSSE, [0.002, 0.002, 0.0], **box)
-        once = gd.coherence_series(range(100), cat, Variant.GSSE, [0.002, 0.0], **box)
+        coh = gd.coherence_series(100, cat, Variant.GSSE, [0.002, 0.002, 0.0])
+        once = gd.coherence_series(100, cat, Variant.GSSE, [0.002, 0.0])
         assert coh[0] == coh[1]
         np.testing.assert_array_equal(coh[1:], once)
 
     def test_rejects_empty_times(self):
         cat = gd.CatState(4.0 + 0.0j, 2.0)
         with pytest.raises(DomainError, match="times"):
-            gd.coherence_series(range(100), cat, Variant.GSSE, [],
-                                n=256, x_min=-10.0, x_max=10.0)
+            gd.coherence_series(100, cat, Variant.GSSE, [])
 
     @pytest.mark.parametrize("variant", [Variant.GSSE, Variant.SSNE])
     def test_bytes_independent_of_workers_and_blocks(self, variant):
-        # 300 rows of 256 cells make two or three blocks of BLOCK_CELLS
+        # 300 rows of COHERENCE_BOX's 2048 cells make ten blocks of BLOCK_CELLS
         seeds, cat, dt = range(300), gd.CatState(4.0 + 0.0j, 2.0), 1e-3
-        box = dict(n=256, x_min=-10.0, x_max=10.0)
         times = np.array([0.0, 0.002, 0.005])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # make pool threads interleave often
         try:
             runs = [
-                gd.coherence_series(seeds, cat, variant, times, dt=dt, base_seed=5,
-                                    workers=w, **box).tobytes()
+                gd.coherence_series(len(seeds), cat, variant, times, dt=dt, base_seed=5,
+                                    workers=w).tobytes()
                 for w in (1, 2, 3)
             ]
         finally:
@@ -293,7 +322,7 @@ class TestCoherence:
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
         # the one-batch reader that blocking replaced
-        state = gd.init_cat(cat, **box).repeated(len(seeds))
+        state = gd.init_cat(cat, **gd.COHERENCE_BOX).repeated(len(seeds))
         ell_cells = int(round(cat.separation / state.dx_grid))
 
         def read(st):
@@ -313,7 +342,7 @@ class TestCachedArrays:
             *gd._k_grids(256, 0.1),
             gd._half_kinetic_factor(256, 0.1, 1e-3),
             gd._dealias_mask(256, 0.1),
-            gd._soft_kernel_spectrum(256, 0.1, 1.0, 5.0),
+            gd._soft_kernel_spectrum(256, 0.1),
         ]
         for arr in arrays:
             assert not arr.flags.writeable
@@ -337,24 +366,20 @@ class TestCachedArrays:
 
 
 class TestNonlocal:
-    kernel = gd.SoftKernelSpec(1.0, 5.0)
-
     def test_potential_matches_direct_convolution(self):
         st = gd.init_cat(gd.CatState(1.1 + 0.0j, 5.0), n=512, x_min=-20.0, x_max=20.0)
-        v = gd.mean_field_potential(st.density(), st.dx_grid, self.kernel)
+        v = gd.mean_field_potential(st.density(), st.dx_grid)
         x = st.x
         dens = st.density() * st.dx_grid
-        direct = np.array(
-            [np.sum(-self.kernel.strength / np.hypot(xi - x, self.kernel.a_soft) * dens)
-             for xi in x]
-        )
+        strength, a_soft = gd.SOFT_KERNEL["strength"], gd.SOFT_KERNEL["a_soft"]
+        direct = np.array([np.sum(-strength / np.hypot(xi - x, a_soft) * dens) for xi in x])
         np.testing.assert_allclose(v, direct, rtol=1e-10, atol=1e-12)
 
     def test_step_is_unitary_without_renormalization(self):
         st = gd.init_cat(gd.CatState(1.1 + 0.0j, 5.0), **BIG_BOX)
         worst = 0.0
         for _ in range(500):
-            st = gd.step_sne_nonlocal(st, self.kernel, 1e-3)
+            st = gd.step_sne_nonlocal(st, 1e-3)
             worst = max(worst, abs(float(st.norm_deviation)))
         assert worst < 1e-10
 
@@ -362,7 +387,7 @@ class TestNonlocal:
         st = gd.init_gaussian(1.5, 0.0, 0.5 + 0.0j, **BIG_BOX)
         drift = 0.0
         for _ in range(500):
-            st = gd.step_sne_nonlocal(st, self.kernel, 1e-3)
+            st = gd.step_sne_nonlocal(st, 1e-3)
             drift = max(drift, abs(float(st.mean_p())))
         assert drift < 1e-8
 
@@ -371,7 +396,7 @@ class TestNonlocal:
         x = st.x
         seps = []
         for k in range(1200):
-            st = gd.step_sne_nonlocal(st, self.kernel, 1e-3)
+            st = gd.step_sne_nonlocal(st, 1e-3)
             if (k + 1) % 100 == 0:
                 rho = st.density()
                 right = rho * (x > 0)
@@ -386,7 +411,7 @@ class TestNonlocal:
         x = st.x
         ts, seps = [], []
         for k in range(300):
-            st = gd.step_sne_nonlocal(st, self.kernel, 1e-3)
+            st = gd.step_sne_nonlocal(st, 1e-3)
             if (k + 1) % 25 == 0:
                 rho = st.density()
                 right = rho * (x > 0)
@@ -401,7 +426,7 @@ class TestNonlocal:
     def test_rejects_bad_dt(self):
         st = gd.init_gaussian(0.0, 0.0, 0.5 + 0.0j)
         with pytest.raises(DomainError):
-            gd.step_sne_nonlocal(st, self.kernel, -1e-3)
+            gd.step_sne_nonlocal(st, -1e-3)
 
 
 def reference_step_quadratic(state, variant, dt, dw):
@@ -452,10 +477,9 @@ class TestCarriedSpectrum:
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_nonlocal_spectrum_is_fft_of_amplitudes(self, rows):
-        kernel = gd.SoftKernelSpec(1.0, 5.0)
         st = gd.init_cat(gd.CatState(1.1 + 0.0j, 5.0), **BIG_BOX)
         st = st if rows is None else st.repeated(rows)
-        st = stepped(st, lambda st, _: gd.step_sne_nonlocal(st, kernel, self.dt), range(50))
+        st = stepped(st, lambda st, _: gd.step_sne_nonlocal(st, self.dt), range(50))
         fresh = sfft.fft(st.amplitudes, axis=-1)
         assert np.max(np.abs(st.spectrum - fresh)) <= 1e-12 * np.max(np.abs(st.spectrum))
 
@@ -501,7 +525,7 @@ class TestCarriedSpectrum:
                      lambda st, dw: gd.step_quadratic(st, Variant.SSNE, self.dt, dw), dws)
         fresh = gd.GridState(st.amplitudes, st.dx_grid, st.x0)
         assert fresh.spectrum is None
-        for moment in ("mean_p", "kinetic_energy", "correlation_xp"):
+        for moment in ("mean_p", "kinetic_energy"):
             np.testing.assert_allclose(getattr(st, moment)(), getattr(fresh, moment)(),
                                        rtol=0, atol=1e-12)
 
@@ -519,7 +543,7 @@ class TestNonFiniteGuards:
 
     def test_nonlocal_step_rejects_nan(self):
         with pytest.raises(StepSizeError, match="not finite"):
-            gd.step_sne_nonlocal(self.nan_state(), gd.SoftKernelSpec(1.0, 5.0), 1e-3)
+            gd.step_sne_nonlocal(self.nan_state(), 1e-3)
 
     def test_nan_edge_is_not_contained(self):
         psi = np.zeros((2, 64), complex)

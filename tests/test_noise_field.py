@@ -23,7 +23,6 @@ from gravlab.errors import DomainError, ResolutionError
 from gravlab.model_core import MassProfile, omega_g
 from gravlab.noise_field import (
     FieldGrid,
-    PhiFieldSample,
     _k_arrays,
     _profile_spectrum,
     drive,
@@ -241,7 +240,7 @@ class TestCachedArrays:
         grid = FieldGrid(16, 4.0)
         arrays = [
             *_k_arrays(grid.n, grid.h),
-            _profile_spectrum(MassProfile.uniform_sphere(1.0), grid, (0.0, 0.0, 0.0)),
+            _profile_spectrum(MassProfile.uniform_sphere(1.0), grid),
         ]
         for arr in arrays:
             assert not arr.flags.writeable
@@ -345,18 +344,6 @@ class TestReduceToW:
         w_ref = reduced_w_full_fft(phi_values(g, 1.0, 13, 2), g, prof)
         assert np.allclose(w, w_ref, rtol=1e-9, atol=1e-12)
 
-    def test_off_center_reduction(self):
-        # shifting the noise, and so the field, and the reduction center
-        # together must leave w unchanged
-        g = FieldGrid(32, 6.0)
-        prof = MassProfile.gaussian_ball(1.6)
-        f = sample_phi_field(g, 1.0, 21, 0)
-        shift = 5  # cells
-        rolled = PhiFieldSample(g, 1.0, 21, 0, np.roll(f.noise, shift, axis=0))
-        w0 = reduce_phi_to_w(f, prof)
-        w1 = reduce_phi_to_w(rolled, prof, center=(shift * g.h, 0.0, 0.0))
-        assert np.allclose(w0, w1, rtol=1e-9, atol=1e-12)
-
     def test_covariance_near_identity_at_reference_geometry(self):
         # the 52-cell box-6.2 geometry is the one the verification suite uses;
         # its exact lattice expectation sits within 0.5% of the ideal identity
@@ -382,24 +369,14 @@ class TestReduceToW:
             reduce_phi_to_w(sample_phi_field(g, 1.0, 1), MassProfile.gaussian_ball(0.75))
 
 
-def reduced_w_half_spectrum(values, grid, profile, center=(0.0, 0.0, 0.0)):
+def reduced_w_half_spectrum(values, grid, profile):
     """The reduction of field values as a weighted sum over the rfftn half spectrum.
 
     Parseval weights 2 for the interior kz planes and 1 for kz = 0 and
     Nyquist, derivative wavenumbers with Nyquist zeroed.
     """
-    n, h, box = grid.n, grid.h, grid.box
-    ax = grid.axis()
-
-    def wrap(d):
-        return (d + 0.5 * box) % box - 0.5 * box
-
-    r = np.sqrt(
-        wrap(ax[:, None, None] - center[0]) ** 2
-        + wrap(ax[None, :, None] - center[1]) ** 2
-        + wrap(ax[None, None, :] - center[2]) ** 2
-    )
-    fhat = sfft.rfftn(profile.density(r))
+    n, h = grid.n, grid.h
+    fhat = sfft.rfftn(profile_on_grid(profile, grid))
     spec = sfft.rfftn(values)
     kx = spectral_deriv_k(n, h)
     kz = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
@@ -418,21 +395,21 @@ def assert_relative(w, ref, rel):
     assert np.max(np.abs(w - ref)) <= rel * np.max(np.abs(ref))
 
 
-OFF_CENTER_BALL = (FieldGrid(32, 6.0), MassProfile.gaussian_ball(1.6), (0.9, -0.4, 0.25))
-CENTERED_SPHERE = (FieldGrid(52, 6.2), MassProfile.uniform_sphere(1.0), (0.0, 0.0, 0.0))
+BALL = (FieldGrid(32, 6.0), MassProfile.gaussian_ball(1.6))
+SPHERE = (FieldGrid(52, 6.2), MassProfile.uniform_sphere(1.0))
 
 
 class TestFilters:
-    @pytest.mark.parametrize("grid, profile, center", [OFF_CENTER_BALL, CENTERED_SPHERE])
-    def test_reduction_matches_half_spectrum_sum(self, grid, profile, center):
+    @pytest.mark.parametrize("grid, profile", [BALL, SPHERE])
+    def test_reduction_matches_half_spectrum_sum(self, grid, profile):
         for i in (0, 1, 2, 7, 1000):
             f = sample_phi_field(grid, 0.5, 8, i)
-            assert_relative(reduce_phi_to_w(f, profile, center),
+            assert_relative(reduce_phi_to_w(f, profile),
                             reduced_w_half_spectrum(phi_values(grid, 0.5, 8, i), grid,
-                                                    profile, center), 1e-13)
+                                                    profile), 1e-13)
 
     def test_kick_covariance_is_the_exact_lattice_covariance(self):
-        grid, prof, _ = CENTERED_SPHERE
+        grid, prof = SPHERE
         g = noise_field.kick_filter(grid, prof)
         expect = reduced_w_expected_cov(prof, grid)
         np.testing.assert_allclose(g @ g.T, np.diag(expect), rtol=0.0, atol=1e-10)
@@ -455,11 +432,11 @@ class TestFilters:
 
 class TestFilterCaches:
     def test_filters_are_cached_read_only_and_few(self):
-        grid, prof, center = OFF_CENTER_BALL
+        grid, prof = BALL
         caches = {
             noise_field._k_arrays: (grid.n, grid.h),
             noise_field._amplitude_filter: (grid.n, grid.h),
-            noise_field._kick_filter: (prof, grid, center),
+            noise_field._kick_filter: (prof, grid),
         }
         for cached, args in caches.items():
             # each (3, n^3) filter is 3 n^3 8 B: 400 MB at n = 256
@@ -470,6 +447,5 @@ class TestFilterCaches:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0.0
-        assert noise_field.kick_filter(grid, prof, center) is noise_field._kick_filter(
-            prof, grid, center)
-        assert noise_field._kick_filter(prof, grid, center).shape == (3, grid.n**3)
+        assert noise_field.kick_filter(grid, prof) is noise_field._kick_filter(prof, grid)
+        assert noise_field._kick_filter(prof, grid).shape == (3, grid.n**3)
